@@ -154,7 +154,9 @@ impl Config {
             .to_vec(),
             server_crates: vec!["geo-serve".into()],
             retry_crates: ["core", "atlas-sim"].map(String::from).to_vec(),
-            hot_path_crates: ["net-sim", "geo-model"].map(String::from).to_vec(),
+            hot_path_crates: ["net-sim", "geo-model", "world-sim", "web-sim"]
+                .map(String::from)
+                .to_vec(),
             vendored_crates: ["rand", "proptest", "criterion"].map(String::from).to_vec(),
             clock_root_crates: [
                 "world-sim",

@@ -39,13 +39,21 @@
 //! or map iteration order anywhere — so the same logical dataset yields a
 //! byte-identical file on every machine. Floats are persisted as bit
 //! patterns, never text, so a save→load round trip is exact.
+//!
+//! **Crash safety.** [`save`] never truncates the target in place: it
+//! writes a sibling temp file, syncs it, and renames it over the target,
+//! so a reader (a `RELOAD` racing a republish) opens either the old
+//! snapshot or the new one, never a torn mix of both.
 
 use geo_model::ip::Prefix24;
 use geo_model::point::GeoPoint;
 use geo_model::units::Ms;
 use ipgeo::publish::{DatasetEntry, Evidence};
 use std::fmt;
+use std::fs::File;
+use std::io::{self, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use world_sim::ids::HostId;
 
 /// The four magic bytes opening every `.igds` file.
@@ -405,7 +413,8 @@ pub fn decode(bytes: &[u8]) -> Result<(Header, Vec<DatasetEntry>), FormatError> 
     Ok((header, entries))
 }
 
-/// Writes the dataset to `path`, returning the header it stored.
+/// Writes the dataset to `path`, returning the header it stored. The
+/// target is replaced atomically (see the module docs).
 pub fn save(
     path: impl AsRef<Path>,
     entries: &[DatasetEntry],
@@ -413,9 +422,37 @@ pub fn save(
     nonce: u64,
 ) -> Result<Header, FormatError> {
     let bytes = encode(entries, world_seed, nonce);
-    std::fs::write(path.as_ref(), &bytes).map_err(|e| FormatError::Io(e.to_string()))?;
+    replace_file(path.as_ref(), &bytes).map_err(|e| FormatError::Io(e.to_string()))?;
     let (header, _) = decode(&bytes)?;
     Ok(header)
+}
+
+/// Replaces `path` with `bytes`: write a sibling temp file, `sync_all` it,
+/// `rename` it over `path`. The temp file is removed on any error.
+fn replace_file(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    // Unique per process and per call, so concurrent publishers of the
+    // same path never share a temp file.
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let mut name = path
+        .file_name()
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?
+        .to_os_string();
+    name.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = path.with_file_name(name);
+    let written = File::create(&tmp)
+        .and_then(|mut f| {
+            f.write_all(bytes)?;
+            f.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 /// Reads and validates a snapshot from `path`.

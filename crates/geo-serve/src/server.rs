@@ -1328,7 +1328,10 @@ mod tests {
         // evictions with text-line fidelity.
         assert_eq!(s.generation, 1);
         assert!(s.live >= 1, "live={}", s.live);
-        assert_eq!((s.shed, s.evicted, s.proto_errors, s.reload_failed), (0, 0, 0, 0));
+        assert_eq!(
+            (s.shed, s.evicted, s.proto_errors, s.reload_failed),
+            (0, 0, 0, 0)
+        );
 
         // A line-protocol client still works on the very same port.
         let reply = query_one(&addr, "LOCATE 10.10.10.1").unwrap();
@@ -1384,16 +1387,36 @@ mod tests {
         let mut scratch = vec![0u8; READ_CHUNK];
         let mut progress = false;
         assert!(eventually(|| {
-            sweep_conn(&serving, &g, &mut conn, &mut scratch, &mut progress, 0, false);
+            sweep_conn(
+                &serving,
+                &g,
+                &mut conn,
+                &mut scratch,
+                &mut progress,
+                0,
+                false,
+            );
             serving.stats.snapshot().proto_errors >= 1
         }));
         assert!(conn.closing);
         // The malformed bytes are behind the gate now: further sweeps
         // with the backlog still stuck add nothing.
-        assert!(conn.inbuf.is_empty(), "unparsed bytes kept: {}", conn.inbuf.len());
+        assert!(
+            conn.inbuf.is_empty(),
+            "unparsed bytes kept: {}",
+            conn.inbuf.len()
+        );
         let queued = conn.out.len();
         for _ in 0..50 {
-            sweep_conn(&serving, &g, &mut conn, &mut scratch, &mut progress, 0, false);
+            sweep_conn(
+                &serving,
+                &g,
+                &mut conn,
+                &mut scratch,
+                &mut progress,
+                0,
+                false,
+            );
         }
         assert_eq!(serving.stats.snapshot().proto_errors, 1);
         assert_eq!(conn.out.len(), queued, "duplicate error frames appended");
@@ -1412,22 +1435,40 @@ mod tests {
         let mut scratch = vec![0u8; READ_CHUNK];
         let mut progress = false;
         assert!(eventually(|| {
-            sweep_conn(&serving, &g, &mut conn, &mut scratch, &mut progress, 0, false);
+            sweep_conn(
+                &serving,
+                &g,
+                &mut conn,
+                &mut scratch,
+                &mut progress,
+                0,
+                false,
+            );
             conn.closing
         }));
         for _ in 0..50 {
-            sweep_conn(&serving, &g, &mut conn, &mut scratch, &mut progress, 0, false);
+            sweep_conn(
+                &serving,
+                &g,
+                &mut conn,
+                &mut scratch,
+                &mut progress,
+                0,
+                false,
+            );
         }
         let s = serving.stats.snapshot();
-        assert_eq!((s.hits, s.misses), (0, 0), "a post-QUIT command was answered");
+        assert_eq!(
+            (s.hits, s.misses),
+            (0, 0),
+            "a post-QUIT command was answered"
+        );
     }
 
     #[test]
     fn reload_command_is_async_and_rate_limited() {
-        let path = std::env::temp_dir().join(format!(
-            "igds-reload-test-{}.igds",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("igds-reload-test-{}.igds", std::process::id()));
         let fresh = vec![DatasetEntry {
             prefix: Prefix24(0x0B0B0B),
             location: GeoPoint::new(1.0, 2.0),

@@ -19,7 +19,7 @@ use crate::zipgrid::zip_of;
 use geo_model::point::GeoPoint;
 use geo_model::units::Km;
 use rand::Rng;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use world_sim::asn::AsCategory;
 use world_sim::ids::{AsId, CityId, HostId, ZipCode};
 use world_sim::World;
@@ -59,8 +59,6 @@ pub enum Hosting {
 pub struct Website {
     /// Identifier.
     pub id: WebsiteId,
-    /// Domain name.
-    pub domain: String,
     /// Hosting model.
     pub hosting: Hosting,
     /// The host serving the site (shared for cloud/CDN).
@@ -68,6 +66,19 @@ pub struct Website {
     /// Number of distinct zip codes in which entities list this website
     /// (chains appear in many — the third locality test).
     pub zip_appearances: u32,
+}
+
+impl Website {
+    /// Domain name, e.g. `www.cloud-17.example`: the hosting model and the
+    /// id, spelled out on demand.
+    pub fn domain(&self) -> String {
+        let model = match self.hosting {
+            Hosting::Local => "local",
+            Hosting::Cloud => "cloud",
+            Hosting::Cdn => "cdn",
+        };
+        format!("www.{model}-{}.example", self.id.0)
+    }
 }
 
 /// A point of interest with a postal address and a website.
@@ -143,8 +154,15 @@ pub struct WebEcosystem {
     pub entities: Vec<Entity>,
     /// All websites.
     pub websites: Vec<Website>,
-    by_zip: HashMap<ZipCode, Vec<EntityId>>,
-    by_city: HashMap<CityId, Vec<EntityId>>,
+    /// City `c`'s entities are `entities[city_starts[c]..city_starts[c + 1]]`:
+    /// generation runs city by city.
+    city_starts: Vec<u32>,
+    /// The zip table: every zip with an entity, ascending; zip `zips[i]`
+    /// lists `zip_entities[zip_starts[i]..zip_starts[i + 1]]`.
+    zips: Vec<ZipCode>,
+    zip_starts: Vec<u32>,
+    /// Entity ids grouped by zip, ascending within each zip.
+    zip_entities: Vec<EntityId>,
 }
 
 impl WebEcosystem {
@@ -154,14 +172,14 @@ impl WebEcosystem {
         let mut rng = world.config.seed.derive("web-ecosystem").rng();
 
         // Infrastructure lookup tables.
-        let mut local_as_in_city: HashMap<CityId, Vec<AsId>> = HashMap::new();
+        let mut local_as_in_city: Vec<Vec<AsId>> = vec![Vec::new(); world.cities.len()];
         let mut cloud_sites: Vec<(AsId, CityId)> = Vec::new();
         let mut cdn_pops: Vec<(AsId, Vec<CityId>)> = Vec::new();
         for a in &world.ases {
             match a.category {
                 AsCategory::Access | AsCategory::Enterprise => {
                     for &c in &a.pops {
-                        local_as_in_city.entry(c).or_default().push(a.id);
+                        local_as_in_city[c.index()].push(a.id);
                     }
                 }
                 AsCategory::Content if a.is_cloud => {
@@ -207,15 +225,14 @@ impl WebEcosystem {
 
         let mut entities: Vec<Entity> = Vec::new();
         let mut websites: Vec<Website> = Vec::new();
-        let mut by_zip: HashMap<ZipCode, Vec<EntityId>> = HashMap::new();
-        let mut by_city: HashMap<CityId, Vec<EntityId>> = HashMap::new();
-        let mut website_zips: Vec<HashSet<ZipCode>> = Vec::new();
+        let mut city_starts: Vec<u32> = Vec::with_capacity(world.cities.len() + 1);
 
         // Chain websites are created lazily as a pool and reused.
         let mut chain_pool: Vec<WebsiteId> = Vec::new();
 
         let city_count = world.cities.len();
         for ci in 0..city_count {
+            city_starts.push(entities.len() as u32);
             let city = world.cities[ci].clone();
             let n = ((city.population * cfg.entities_per_capita) as usize)
                 .clamp(cfg.min_entities_per_city, cfg.max_entities_per_city);
@@ -260,16 +277,12 @@ impl WebEcosystem {
                     let wid = WebsiteId(websites.len() as u32);
                     let server = match hosting {
                         Hosting::Local => {
-                            let asn = local_as_in_city
-                                .get(&city.id)
-                                .and_then(|v| {
-                                    if v.is_empty() {
-                                        None
-                                    } else {
-                                        Some(v[rng.gen_range(0..v.len())])
-                                    }
-                                })
-                                .unwrap_or_else(|| world.ases[0].id);
+                            let local = &local_as_in_city[ci];
+                            let asn = if local.is_empty() {
+                                world.ases[0].id
+                            } else {
+                                local[rng.gen_range(0..local.len())]
+                            };
                             world.add_web_server(asn, city.id, location)
                         }
                         Hosting::Cloud => {
@@ -295,28 +308,18 @@ impl WebEcosystem {
                             })
                         }
                     };
-                    let domain = match hosting {
-                        Hosting::Local => format!("www.local-{}.example", wid.0),
-                        Hosting::Cloud => format!("www.cloud-{}.example", wid.0),
-                        Hosting::Cdn => format!("www.cdn-{}.example", wid.0),
-                    };
                     websites.push(Website {
                         id: wid,
-                        domain,
                         hosting,
                         server,
                         zip_appearances: 0,
                     });
-                    website_zips.push(HashSet::new());
                     if is_chain_member {
                         chain_pool.push(wid);
                     }
                     wid
                 };
 
-                website_zips[website.0 as usize].insert(zip);
-                by_zip.entry(zip).or_default().push(eid);
-                by_city.entry(city.id).or_default().push(eid);
                 entities.push(Entity {
                     id: eid,
                     kind,
@@ -327,27 +330,60 @@ impl WebEcosystem {
                 });
             }
         }
+        city_starts.push(entities.len() as u32);
 
-        for (w, zips) in websites.iter_mut().zip(&website_zips) {
-            w.zip_appearances = zips.len() as u32;
+        // The zip table: ids stably sorted by zip keep ascending id order
+        // within each zip.
+        let mut zip_entities: Vec<EntityId> = entities.iter().map(|e| e.id).collect();
+        zip_entities.sort_by_key(|id| entities[id.0 as usize].zip);
+        let mut zips: Vec<ZipCode> = Vec::new();
+        let mut zip_starts: Vec<u32> = Vec::new();
+        for (i, id) in zip_entities.iter().enumerate() {
+            let zip = entities[id.0 as usize].zip;
+            if zips.last() != Some(&zip) {
+                zips.push(zip);
+                zip_starts.push(i as u32);
+            }
+        }
+        zip_starts.push(zip_entities.len() as u32);
+
+        // Distinct zips per website: one pass over the zip table, counting
+        // a website the first time it shows up in each zip.
+        let mut last_zip = vec![u32::MAX; websites.len()];
+        for (z, span) in zip_starts.windows(2).enumerate() {
+            for id in &zip_entities[span[0] as usize..span[1] as usize] {
+                let w = entities[id.0 as usize].website.0 as usize;
+                if last_zip[w] != z as u32 {
+                    last_zip[w] = z as u32;
+                    websites[w].zip_appearances += 1;
+                }
+            }
         }
 
         Ok(WebEcosystem {
             entities,
             websites,
-            by_zip,
-            by_city,
+            city_starts,
+            zips,
+            zip_starts,
+            zip_entities,
         })
     }
 
-    /// Entities registered in a zip code.
+    /// Entities registered in a zip code, in ascending id order.
     pub fn entities_in_zip(&self, zip: ZipCode) -> &[EntityId] {
-        self.by_zip.get(&zip).map_or(&[], Vec::as_slice)
+        match self.zips.binary_search(&zip) {
+            Ok(i) => {
+                &self.zip_entities[self.zip_starts[i] as usize..self.zip_starts[i + 1] as usize]
+            }
+            Err(_) => &[],
+        }
     }
 
-    /// Entities registered in a city.
-    pub fn entities_in_city(&self, city: CityId) -> &[EntityId] {
-        self.by_city.get(&city).map_or(&[], Vec::as_slice)
+    /// Entities registered in a city, in ascending id order.
+    pub fn entities_in_city(&self, city: CityId) -> &[Entity] {
+        let span = self.city_starts.get(city.index()..city.index() + 2);
+        span.map_or(&[], |s| &self.entities[s[0] as usize..s[1] as usize])
     }
 
     /// Entity lookup.
@@ -366,10 +402,10 @@ impl WebEcosystem {
         // Entities lie within city_radius of their city center.
         let slack = Km(world.config.city_radius_km);
         for (city, _) in world.city_index.within(p, radius + slack) {
-            for &eid in self.entities_in_city(city) {
-                let d = self.entity(eid).location.distance(p);
+            for e in self.entities_in_city(city) {
+                let d = e.location.distance(p);
                 if d <= radius {
-                    out.push((eid, d));
+                    out.push((e.id, d));
                 }
             }
         }

@@ -283,7 +283,6 @@ mod tests {
         for &aid in &w.anchors {
             let anchor = w.host(aid);
             for e in eco.entities_in_city(anchor.city) {
-                let e = eco.entity(*e);
                 let site = eco.website(e.website);
                 if site.hosting == Hosting::Local {
                     let _ = tester.latency_check(&w, &net, &eco, aid, e);

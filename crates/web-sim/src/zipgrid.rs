@@ -17,6 +17,7 @@ const HALF_SPAN: i32 = 32;
 
 /// The zip code containing a point: nearest city + local grid cell.
 /// Returns `None` only if the world has no cities.
+// geo-lint: hot-path
 pub fn zip_of(world: &World, p: &GeoPoint) -> Option<ZipCode> {
     let (city, _) = world.city_index.nearest(p)?;
     let center = world.city(city).center;

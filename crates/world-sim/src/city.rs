@@ -128,33 +128,78 @@ fn country_of(
     *ids.entry((continent, cell.0, cell.1)).or_insert(next)
 }
 
+/// Rows of the 1° grid: `floor(lat)` for lat in −90..=90.
+const LAT_CELLS: usize = 181;
+/// Columns of the 1° grid: `floor(lon)` for lon in −180..=180.
+const LON_CELLS: usize = 361;
+
 /// A grid-bucketed spatial index over city centers for nearest-city and
 /// radius queries (used by the density field, zip codes, and landmark
 /// discovery).
+///
+/// The grid is one dense CSR table over every 1° cell of the globe (about
+/// 260 KB): cell `k` lists `ids[starts[k]..starts[k + 1]]`, its cities in
+/// ascending id order, so a lookup is two loads instead of a hash probe.
 #[derive(Debug, Clone)]
 pub struct CityIndex {
     /// City centers, indexed by `CityId`.
     centers: Vec<GeoPoint>,
-    /// 1°-cell buckets: (lat_cell, lon_cell) -> city indices.
-    grid: HashMap<(i32, i32), Vec<u32>>,
+    /// Row-major (lat, lon) cell offsets into `ids`; one extra sentinel.
+    starts: Vec<u32>,
+    /// City indices grouped by cell.
+    ids: Vec<u32>,
 }
 
 impl CityIndex {
     /// Builds the index.
     pub fn build(cities: &[City]) -> CityIndex {
-        let mut grid: HashMap<(i32, i32), Vec<u32>> = HashMap::new();
-        let centers: Vec<GeoPoint> = cities.iter().map(|c| c.center).collect();
-        for (i, p) in centers.iter().enumerate() {
-            grid.entry(Self::cell(p)).or_default().push(i as u32);
+        Self::from_centers(cities.iter().map(|c| c.center).collect())
+    }
+
+    fn from_centers(centers: Vec<GeoPoint>) -> CityIndex {
+        let slots: Vec<usize> = centers
+            .iter()
+            .map(|p| {
+                let (lat, lon) = Self::cell(p);
+                slot(lat, lon).expect("GeoPoint keeps lat in [-90, 90] and lon in [-180, 180)")
+            })
+            .collect();
+        // Counting sort by cell; ids enter their cell in ascending order.
+        let mut starts = vec![0u32; LAT_CELLS * LON_CELLS + 1];
+        for &k in &slots {
+            starts[k + 1] += 1;
         }
-        CityIndex { centers, grid }
+        for k in 0..LAT_CELLS * LON_CELLS {
+            starts[k + 1] += starts[k];
+        }
+        let mut fill = starts.clone();
+        let mut ids = vec![0u32; centers.len()];
+        for (i, &k) in slots.iter().enumerate() {
+            ids[fill[k] as usize] = i as u32;
+            fill[k] += 1;
+        }
+        CityIndex {
+            centers,
+            starts,
+            ids,
+        }
     }
 
     fn cell(p: &GeoPoint) -> (i32, i32) {
         (p.lat().floor() as i32, p.lon().floor() as i32)
     }
 
+    /// The cities in a 1° cell; empty for cells off the grid.
+    #[inline]
+    fn bucket(&self, lat_cell: i32, lon_cell: i32) -> &[u32] {
+        match slot(lat_cell, lon_cell) {
+            Some(k) => &self.ids[self.starts[k] as usize..self.starts[k + 1] as usize],
+            None => &[],
+        }
+    }
+
     /// The nearest city to `p`, or `None` if the index is empty.
+    // geo-lint: hot-path
     pub fn nearest(&self, p: &GeoPoint) -> Option<(CityId, Km)> {
         if self.centers.is_empty() {
             return None;
@@ -165,21 +210,19 @@ impl CityIndex {
         let mut best: Option<(u32, f64)> = None;
         let mut ring = 0i32;
         loop {
-            let mut found_any = false;
+            // Walk only the ring boundary, row by row: whole first and
+            // last rows, the two end cells of every row in between. That
+            // is the order a full-square scan skipping the interior visits
+            // them in, so ties between equidistant cities break the same.
             for dlat in -ring..=ring {
-                for dlon in -ring..=ring {
-                    if dlat.abs() != ring && dlon.abs() != ring {
-                        continue; // only the ring boundary
-                    }
+                let step = if dlat.abs() == ring { 1 } else { 2 * ring };
+                for dlon in (-ring..=ring).step_by(step as usize) {
                     // Wrap longitude cells.
                     let lon_cell = wrap_lon_cell(clon + dlon);
-                    if let Some(bucket) = self.grid.get(&(clat + dlat, lon_cell)) {
-                        found_any = true;
-                        for &i in bucket {
-                            let d = self.centers[i as usize].distance(p).value();
-                            if best.is_none_or(|(_, bd)| d < bd) {
-                                best = Some((i, d));
-                            }
+                    for &i in self.bucket(clat + dlat, lon_cell) {
+                        let d = self.centers[i as usize].distance(p).value();
+                        if best.is_none_or(|(_, bd)| d < bd) {
+                            best = Some((i, d));
                         }
                     }
                 }
@@ -198,7 +241,6 @@ impl CityIndex {
             if ring > 400 {
                 break;
             }
-            let _ = found_any;
             ring += 1;
         }
         best.map(|(i, d)| (CityId(i), Km(d)))
@@ -217,12 +259,10 @@ impl CityIndex {
         for dlat in -cells..=cells {
             for dlon in -cells..=cells {
                 let lon_cell = wrap_lon_cell(clon + dlon);
-                if let Some(bucket) = self.grid.get(&(clat + dlat, lon_cell)) {
-                    for &i in bucket {
-                        let d = self.centers[i as usize].distance(p);
-                        if d <= radius {
-                            out.push((CityId(i), d));
-                        }
+                for &i in self.bucket(clat + dlat, lon_cell) {
+                    let d = self.centers[i as usize].distance(p);
+                    if d <= radius {
+                        out.push((CityId(i), d));
                     }
                 }
             }
@@ -230,6 +270,14 @@ impl CityIndex {
         out.sort_by(|a, b| a.1.total_cmp(&b.1));
         out
     }
+}
+
+/// The row-major grid slot of a cell, or `None` off the grid.
+#[inline]
+fn slot(lat_cell: i32, lon_cell: i32) -> Option<usize> {
+    let row = usize::try_from(lat_cell + 90).ok()?;
+    let col = usize::try_from(lon_cell + 180).ok()?;
+    (row < LAT_CELLS && col < LON_CELLS).then_some(row * LON_CELLS + col)
 }
 
 fn wrap_lon_cell(cell: i32) -> i32 {
@@ -247,6 +295,8 @@ fn wrap_lon_cell(cell: i32) -> i32 {
 mod tests {
     use super::*;
     use geo_model::rng::Seed;
+    use proptest::prelude::*;
+    use proptest::TestCaseError;
 
     fn make_world() -> (Vec<City>, usize) {
         let cfg = WorldConfig::small(Seed(5));
@@ -365,5 +415,217 @@ mod tests {
     fn empty_index_returns_none() {
         let index = CityIndex::build(&[]);
         assert!(index.nearest(&GeoPoint::new(0.0, 0.0)).is_none());
+    }
+
+    /// The `HashMap`-bucketed grid `CityIndex` was before its dense CSR
+    /// table, kept verbatim as the oracle the table must match: same ids,
+    /// same distance bits, same order.
+    struct HashGrid {
+        centers: Vec<GeoPoint>,
+        grid: HashMap<(i32, i32), Vec<u32>>,
+    }
+
+    impl HashGrid {
+        fn build(centers: &[GeoPoint]) -> HashGrid {
+            let mut grid: HashMap<(i32, i32), Vec<u32>> = HashMap::new();
+            for (i, p) in centers.iter().enumerate() {
+                grid.entry(CityIndex::cell(p)).or_default().push(i as u32);
+            }
+            HashGrid {
+                centers: centers.to_vec(),
+                grid,
+            }
+        }
+
+        fn nearest(&self, p: &GeoPoint) -> Option<(CityId, Km)> {
+            if self.centers.is_empty() {
+                return None;
+            }
+            let (clat, clon) = CityIndex::cell(p);
+            let mut best: Option<(u32, f64)> = None;
+            let mut ring = 0i32;
+            loop {
+                for dlat in -ring..=ring {
+                    for dlon in -ring..=ring {
+                        if dlat.abs() != ring && dlon.abs() != ring {
+                            continue;
+                        }
+                        let lon_cell = wrap_lon_cell(clon + dlon);
+                        if let Some(bucket) = self.grid.get(&(clat + dlat, lon_cell)) {
+                            for &i in bucket {
+                                let d = self.centers[i as usize].distance(p).value();
+                                if best.is_none_or(|(_, bd)| d < bd) {
+                                    best = Some((i, d));
+                                }
+                            }
+                        }
+                    }
+                }
+                if let Some((_, bd)) = best {
+                    let worst_lat = (p.lat().abs() + ring as f64 + 1.0).min(89.0);
+                    let lon_km_per_cell = 111.32 * worst_lat.to_radians().cos();
+                    let scanned_km = ring as f64 * lon_km_per_cell.min(110.57);
+                    if bd <= scanned_km || ring > 360 {
+                        break;
+                    }
+                }
+                if ring > 400 {
+                    break;
+                }
+                ring += 1;
+            }
+            best.map(|(i, d)| (CityId(i), Km(d)))
+        }
+
+        fn within(&self, p: &GeoPoint, radius: Km) -> Vec<(CityId, Km)> {
+            let lat_cells = (radius.value() / 110.57).ceil();
+            let worst_lat = (p.lat().abs() + lat_cells + 1.0).min(89.0);
+            let lon_km = 111.32 * worst_lat.to_radians().cos();
+            let cells = (radius.value() / lon_km.min(110.57)).ceil() as i32 + 1;
+            let (clat, clon) = CityIndex::cell(p);
+            let mut out = Vec::new();
+            for dlat in -cells..=cells {
+                for dlon in -cells..=cells {
+                    let lon_cell = wrap_lon_cell(clon + dlon);
+                    if let Some(bucket) = self.grid.get(&(clat + dlat, lon_cell)) {
+                        for &i in bucket {
+                            let d = self.centers[i as usize].distance(p);
+                            if d <= radius {
+                                out.push((CityId(i), d));
+                            }
+                        }
+                    }
+                }
+            }
+            out.sort_by(|a, b| a.1.total_cmp(&b.1));
+            out
+        }
+    }
+
+    /// Checks the dense grid against the oracle at each probe: the nearest
+    /// city's id and distance bits, and every `within` hit in order.
+    fn agree(centers: &[GeoPoint], probes: &[GeoPoint], radius: Km) -> Result<(), TestCaseError> {
+        let dense = CityIndex::from_centers(centers.to_vec());
+        let oracle = HashGrid::build(centers);
+        let bits = |hit: Option<(CityId, Km)>| hit.map(|(id, d)| (id, d.value().to_bits()));
+        for p in probes {
+            prop_assert_eq!(
+                bits(dense.nearest(p)),
+                bits(oracle.nearest(p)),
+                "nearest {}",
+                p
+            );
+            let got: Vec<_> = dense
+                .within(p, radius)
+                .into_iter()
+                .map(|h| bits(Some(h)))
+                .collect();
+            let want: Vec<_> = oracle
+                .within(p, radius)
+                .into_iter()
+                .map(|h| bits(Some(h)))
+                .collect();
+            prop_assert_eq!(got, want, "within {} of {}", radius, p);
+        }
+        Ok(())
+    }
+
+    /// A point in one of four regions, from two draws in [-1, 1]:
+    /// anywhere, the north or the south polar cap, or a band across the
+    /// antimeridian.
+    fn region_point((region, a, b): (u8, f64, f64)) -> GeoPoint {
+        match region {
+            0 => GeoPoint::new(90.0 * a, 180.0 * b),
+            1 => GeoPoint::new(90.0 - 6.0 * a.abs(), 180.0 * b),
+            2 => GeoPoint::new(-90.0 + 6.0 * a.abs(), 180.0 * b),
+            _ => GeoPoint::new(60.0 * a, 180.0 + 3.0 * b),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random cities, biased toward the poles and the antimeridian,
+        /// probed within half a degree of one of them (so each scan ends
+        /// well before the 360-ring cap, which the fixed tests below reach
+        /// and which the oracle's full-square loop makes slow).
+        #[test]
+        fn dense_grid_matches_hash_grid(
+            cities in prop::collection::vec((0u8..4, -1.0f64..=1.0, -1.0f64..=1.0), 1..120),
+            near in prop::collection::vec((0usize..120, -0.5f64..=0.5, -0.5f64..=0.5), 1..4),
+            radius in 0.0f64..400.0,
+        ) {
+            let centers: Vec<GeoPoint> = cities.into_iter().map(region_point).collect();
+            let probes: Vec<GeoPoint> = near
+                .into_iter()
+                .map(|(i, dlat, dlon)| {
+                    let c = centers[i % centers.len()];
+                    GeoPoint::new(c.lat() + dlat, c.lon() + dlon)
+                })
+                .collect();
+            agree(&centers, &probes, Km(radius))?;
+        }
+    }
+
+    #[test]
+    fn dense_grid_matches_hash_grid_at_poles_and_antimeridian() {
+        let centers = [
+            GeoPoint::new(89.9, 10.0),
+            GeoPoint::new(89.95, -170.0),
+            GeoPoint::new(-89.9, 45.0),
+            GeoPoint::new(10.0, 179.99),
+            GeoPoint::new(10.0, -179.99),
+            GeoPoint::new(10.2, -180.0),
+            // Same cell, same distance from (10.1, 179.5): a tie the
+            // lower id must win in both.
+            GeoPoint::new(-30.0, 20.0),
+            GeoPoint::new(-30.0, 20.0),
+        ];
+        let probes = [
+            GeoPoint::new(90.0, 0.0),
+            GeoPoint::new(-90.0, 0.0),
+            GeoPoint::new(89.5, 179.5),
+            GeoPoint::new(-89.5, -179.5),
+            GeoPoint::new(10.1, 179.5),
+            GeoPoint::new(10.1, -179.5),
+            GeoPoint::new(10.0, -180.0),
+            GeoPoint::new(-30.0, 20.0),
+        ];
+        for radius in [0.0, 50.0, 400.0] {
+            agree(&centers, &probes, Km(radius)).unwrap();
+        }
+        let index = CityIndex::from_centers(centers.to_vec());
+        assert_eq!(
+            index.nearest(&GeoPoint::new(-30.0, 20.0)).unwrap().0,
+            CityId(6)
+        );
+        assert_eq!(
+            index.nearest(&GeoPoint::new(10.0, 179.999)).unwrap().0,
+            CityId(3)
+        );
+    }
+
+    #[test]
+    fn dense_grid_matches_hash_grid_across_empty_cells() {
+        // One cluster in Europe; probes over empty ocean and far continents
+        // have to expand many rings of empty cells before the first hit.
+        let (cities, _) = make_world();
+        let centers: Vec<GeoPoint> = cities.iter().map(|c| c.center).collect();
+        let probes = [
+            GeoPoint::new(-60.5, -179.5),
+            GeoPoint::new(0.0, 0.0),
+            cities[0].center,
+        ];
+        agree(&centers, &probes, Km(300.0)).unwrap();
+    }
+
+    #[test]
+    fn empty_index_agrees_with_hash_grid() {
+        let probes = [GeoPoint::new(0.0, 0.0), GeoPoint::new(90.0, -180.0)];
+        agree(&[], &probes, Km(100.0)).unwrap();
+        let index = CityIndex::build(&[]);
+        assert!(index
+            .within(&GeoPoint::new(0.0, 0.0), Km(1000.0))
+            .is_empty());
     }
 }
