@@ -13,6 +13,7 @@ use geo_model::rng::Seed;
 use geo_model::soi::SpeedOfInternet;
 use geo_model::units::Km;
 use ipgeo::cbg::{cbg, VpMeasurement};
+use ipgeo::{Resilience, TargetLog};
 use net_sim::{NetParams, Network};
 use world_sim::ids::HostId;
 use world_sim::{World, WorldConfig};
@@ -127,7 +128,18 @@ fn ablate_rounds(c: &mut Criterion) {
             let mut nonce = 0u64;
             b.iter(|| {
                 nonce += 1;
-                ipgeo::multi_round::geolocate(&w, &net, &coverage, &vps, target, rounds, nonce)
+                let mut log = TargetLog::default();
+                ipgeo::multi_round::geolocate(
+                    &w,
+                    &net,
+                    &Resilience::none(),
+                    &coverage,
+                    &vps,
+                    target,
+                    rounds,
+                    nonce,
+                    &mut log,
+                )
             });
         });
     }

@@ -24,6 +24,7 @@ use geo_model::rng::Seed;
 use geo_serve::chaos::{ChaosOp, ChaosPlan};
 use geo_serve::{format, DatasetStore, QueryServer, ServeConfig, ServeLimits};
 use ipgeo::publish::{build_dataset, DatasetEntry};
+use ipgeo::Resilience;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -47,7 +48,7 @@ fn published_entries(seed: u64) -> Vec<DatasetEntry> {
         .iter()
         .map(|&a| world.host(a).ip.prefix24())
         .collect();
-    build_dataset(&world, &net, &mesh, &prefixes, 1)
+    build_dataset(&world, &net, &Resilience::none(), &mesh, &prefixes, 1).0
 }
 
 /// Every address of every published prefix — a full query sweep.

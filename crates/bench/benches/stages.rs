@@ -327,7 +327,8 @@ fn stage_budget_json() -> String {
     prefixes.extend(w.probes.iter().take(60).map(|&p| w.host(p).ip.prefix24()));
     prefixes.sort();
     prefixes.dedup();
-    let entries = ipgeo::publish::build_dataset(&w, &net, &vps, &prefixes, 7);
+    let (entries, _) =
+        ipgeo::publish::build_dataset(&w, &net, &Resilience::none(), &vps, &prefixes, 7);
     let publish_encode = time_median(3, || {
         let csv = ipgeo::publish::to_csv(&entries);
         let igds = geo_serve::format::encode(&entries, 401, 7);
@@ -368,7 +369,7 @@ fn fusion_cost_json() -> String {
     prefixes.dedup();
     let res = Resilience::none();
     let baseline_s = time_median(3, || {
-        ipgeo::publish::build_dataset_resilient(&w, &net, &res, &vps, &prefixes, 7)
+        ipgeo::publish::build_dataset(&w, &net, &res, &vps, &prefixes, 7)
             .0
             .len()
     });

@@ -5,6 +5,7 @@
 use geo_model::ip::Prefix24;
 use geo_model::stats;
 use ipgeo::publish::{build_dataset, to_csv};
+use ipgeo::Resilience;
 use std::collections::HashMap;
 
 fn main() {
@@ -16,7 +17,7 @@ fn main() {
         .collect();
     // A coverage subset keeps the latency tier affordable.
     let mesh = ipgeo::two_step::greedy_coverage(&d.world, &d.vps, 500);
-    let ds = build_dataset(&d.world, &d.net, &mesh, &prefixes, 1);
+    let (ds, _) = build_dataset(&d.world, &d.net, &Resilience::none(), &mesh, &prefixes, 1);
 
     let mut per_method: HashMap<&'static str, Vec<f64>> = HashMap::new();
     for e in &ds {

@@ -14,11 +14,11 @@ use geo_model::ip::{Ipv4, Prefix24};
 use geo_model::rng::Seed;
 use geo_model::soi::SpeedOfInternet;
 use geo_serve::{DatasetStore, DiffReport, Manifest, QueryServer};
-use ipgeo::cbg::{cbg, shortest_ping, VpMeasurement};
+use ipgeo::cbg::{cbg, shortest_ping, vp_measurements};
 use ipgeo::publish::{fused_sources, DatasetEntry};
 use ipgeo::resilient::{CampaignReport, TargetLog};
-use ipgeo::street::{geolocate_resilient as street_geolocate, StreetConfig};
-use ipgeo::two_step::{geolocate_resilient as two_step_geolocate, greedy_coverage};
+use ipgeo::street::{geolocate as street_geolocate, StreetConfig};
+use ipgeo::two_step::{geolocate as two_step_geolocate, greedy_coverage};
 use ipgeo::Resilience;
 use net_sim::Network;
 use std::process::ExitCode;
@@ -100,9 +100,8 @@ fn publish_dataset(cli: &Cli, world: &World) -> Result<Vec<DatasetEntry>, String
     let res = Resilience::with_plan(&plan);
     match cli.methods {
         Methods::Baseline => {
-            let (ds, report) = ipgeo::publish::build_dataset_resilient(
-                world, &net, &res, &mesh, &prefixes, cli.nonce,
-            );
+            let (ds, report) =
+                ipgeo::publish::build_dataset(world, &net, &res, &mesh, &prefixes, cli.nonce);
             report_faults(cli, &report);
             Ok(ds)
         }
@@ -350,18 +349,10 @@ fn run(cli: Cli) -> Result<(), String> {
 
             let (estimate, label) = match method {
                 Method::Cbg | Method::ShortestPing | Method::Fused => {
-                    let ms: Vec<VpMeasurement> = ipgeo::resilient::ping_batch(
+                    let batch = ipgeo::resilient::ping_batch(
                         &world, &net, &res, &vps, target, 3, 1, &mut log,
-                    )
-                    .into_iter()
-                    .filter_map(|(vp, outcome)| {
-                        outcome.rtt().map(|rtt| VpMeasurement {
-                            vp,
-                            location: world.host(vp).registered_location,
-                            rtt,
-                        })
-                    })
-                    .collect();
+                    );
+                    let ms = vp_measurements(&world, &batch);
                     match method {
                         Method::Cbg => {
                             let r = cbg(&ms, SpeedOfInternet::CBG).ok_or("CBG region is empty")?;

@@ -4,6 +4,7 @@
 use geo_model::rng::Seed;
 use geo_model::stats;
 use ipgeo::street::{geolocate, StreetConfig};
+use ipgeo::{Resilience, TargetLog};
 use net_sim::Network;
 use web_sim::ecosystem::{WebConfig, WebEcosystem};
 use world_sim::{World, WorldConfig};
@@ -36,10 +37,12 @@ fn main() {
             &w,
             &net,
             &eco,
+            &Resilience::none(),
             &vps,
             target,
             &StreetConfig::default(),
             i as u64,
+            &mut TargetLog::default(),
         );
         let th = w.host(target);
         if let Some(est) = out.estimate {

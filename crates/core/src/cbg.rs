@@ -13,7 +13,9 @@ use geo_model::constraint::{Circle, Region, RegionEstimate, RegionScratch};
 use geo_model::point::GeoPoint;
 use geo_model::soi::SpeedOfInternet;
 use geo_model::units::Ms;
+use net_sim::PingOutcome;
 use world_sim::ids::HostId;
+use world_sim::World;
 
 /// One vantage point's measurement of the target.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,6 +26,22 @@ pub struct VpMeasurement {
     pub location: GeoPoint,
     /// Minimum RTT to the target.
     pub rtt: Ms,
+}
+
+/// The measurements a ping batch delivered: one per answering VP, in
+/// batch order, placed at the VP's registered location (what CBG may
+/// trust); timeouts carry no constraint and are dropped.
+pub fn vp_measurements(world: &World, batch: &[(HostId, PingOutcome)]) -> Vec<VpMeasurement> {
+    batch
+        .iter()
+        .filter_map(|&(vp, outcome)| {
+            outcome.rtt().map(|rtt| VpMeasurement {
+                vp,
+                location: world.host(vp).registered_location,
+                rtt,
+            })
+        })
+        .collect()
 }
 
 /// The outcome of a CBG run.

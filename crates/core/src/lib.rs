@@ -51,6 +51,6 @@ pub mod sanitize;
 pub mod street;
 pub mod two_step;
 
-pub use cbg::{cbg, shortest_ping, CbgResult, VpMeasurement};
+pub use cbg::{cbg, shortest_ping, vp_measurements, CbgResult, VpMeasurement};
 pub use resilient::{CampaignReport, Resilience, RetryPolicy, TargetLog};
 pub use sanitize::{sanitize_anchors, sanitize_probes, SanitizeReport};

@@ -13,7 +13,7 @@
 //! The replication's Figure 3a varies `k` ∈ {1, 3, 10}; its headline
 //! finding is that `k = 1` — a single well-chosen VP — is enough.
 
-use crate::cbg::{cbg, CbgResult, VpMeasurement};
+use crate::cbg::{cbg, vp_measurements, CbgResult};
 use crate::resilient::{self, CampaignReport, Resilience, TargetLog};
 use geo_model::ip::Ipv4;
 use geo_model::rng::{splitmix64, Seed};
@@ -50,29 +50,10 @@ pub struct RepProbe {
     pub measurements: u64,
 }
 
-/// Probes the representatives of `prefix_of` from every VP and ranks VPs.
+/// Probes the representatives of `target`'s `/24` from every VP and ranks
+/// VPs, with one representative batch at a time through the resilient
+/// executor.
 pub fn probe_representatives(
-    world: &World,
-    net: &Network,
-    vps: &[HostId],
-    target: Ipv4,
-    nonce: u64,
-) -> RepProbe {
-    probe_representatives_resilient(
-        world,
-        net,
-        &Resilience::none(),
-        vps,
-        target,
-        nonce,
-        &mut TargetLog::default(),
-    )
-}
-
-/// [`probe_representatives`] with every representative batch routed
-/// through the resilient executor. Fault-free, it issues exactly the same
-/// `net-sim` calls.
-pub fn probe_representatives_resilient(
     world: &World,
     net: &Network,
     res: &Resilience,
@@ -101,7 +82,18 @@ pub fn probe_representatives_resilient(
     let mut batch: Vec<(HostId, net_sim::PingOutcome)> = Vec::new();
     for (j, r) in reps.iter().enumerate() {
         let key = nonce ^ r.ip.0 as u64;
-        resilient::ping_batch_into(world, net, res, vps, r.ip, 3, key, log, &mut batch);
+        resilient::ping_batch_keyed_into(
+            world,
+            net,
+            res,
+            vps,
+            r.ip,
+            3,
+            key,
+            |_, _| key,
+            log,
+            &mut batch,
+        );
         let mut cursor = 0usize;
         for &(vp, outcome) in &batch {
             while vps[cursor] != vp {
@@ -160,31 +152,10 @@ pub struct MillionScaleOutcome {
     pub measurements: u64,
 }
 
-/// Geolocates `target` with the `k` best VPs from a representative probe.
-pub fn geolocate_with_selection(
-    world: &World,
-    net: &Network,
-    probe: &RepProbe,
-    target: Ipv4,
-    k: usize,
-    nonce: u64,
-) -> MillionScaleOutcome {
-    geolocate_with_selection_resilient(
-        world,
-        net,
-        &Resilience::none(),
-        probe,
-        target,
-        k,
-        nonce,
-        &mut TargetLog::default(),
-    )
-}
-
-/// [`geolocate_with_selection`] with the target pings routed through the
-/// resilient executor.
+/// Geolocates `target` with the `k` best VPs from a representative probe,
+/// their target pings routed through the resilient executor.
 #[allow(clippy::too_many_arguments)]
-pub fn geolocate_with_selection_resilient(
+pub fn geolocate_with_selection(
     world: &World,
     net: &Network,
     res: &Resilience,
@@ -203,16 +174,7 @@ pub fn geolocate_with_selection_resilient(
         .collect();
 
     let batch = resilient::ping_batch(world, net, res, &selected, target, 3, nonce, log);
-    let measurements: Vec<VpMeasurement> = batch
-        .iter()
-        .filter_map(|(vp, outcome)| {
-            outcome.rtt().map(|rtt| VpMeasurement {
-                vp: *vp,
-                location: world.host(*vp).registered_location,
-                rtt,
-            })
-        })
-        .collect();
+    let measurements = vp_measurements(world, &batch);
 
     MillionScaleOutcome {
         measurements: probe.measurements + selected.len() as u64,
@@ -238,9 +200,8 @@ pub fn campaign(
         geo_model::runtime::par_map_indexed(targets.len(), |i| {
             let key = Seed(nonce).derive_index("million-campaign", i as u64).0;
             let mut log = TargetLog::default();
-            let probe =
-                probe_representatives_resilient(world, net, res, vps, targets[i], key, &mut log);
-            let out = geolocate_with_selection_resilient(
+            let probe = probe_representatives(world, net, res, vps, targets[i], key, &mut log);
+            let out = geolocate_with_selection(
                 world,
                 net,
                 res,
@@ -275,6 +236,34 @@ mod tests {
         (w, net)
     }
 
+    /// Fault-free representative probe that discards the executor log.
+    fn rep_probe(w: &World, net: &Network, vps: &[HostId], target: Ipv4, nonce: u64) -> RepProbe {
+        let mut log = TargetLog::default();
+        probe_representatives(w, net, &Resilience::none(), vps, target, nonce, &mut log)
+    }
+
+    /// Fault-free selection that discards the executor log.
+    fn select(
+        w: &World,
+        net: &Network,
+        probe: &RepProbe,
+        target: Ipv4,
+        k: usize,
+        nonce: u64,
+    ) -> MillionScaleOutcome {
+        let mut log = TargetLog::default();
+        geolocate_with_selection(
+            w,
+            net,
+            &Resilience::none(),
+            probe,
+            target,
+            k,
+            nonce,
+            &mut log,
+        )
+    }
+
     fn clean_probes(w: &World) -> Vec<HostId> {
         w.probes
             .iter()
@@ -288,7 +277,7 @@ mod tests {
         let (w, net) = setup();
         let vps = clean_probes(&w);
         let target = w.host(w.anchors[0]);
-        let probe = probe_representatives(&w, &net, &vps, target.ip, 1);
+        let probe = rep_probe(&w, &net, &vps, target.ip, 1);
         assert_eq!(probe.representatives.len(), REPRESENTATIVES);
         assert_eq!(probe.scores.len(), vps.len());
         assert_eq!(probe.measurements, (vps.len() * 3) as u64);
@@ -313,7 +302,7 @@ mod tests {
         let mut total = 0;
         for (i, &aid) in w.anchors.iter().enumerate() {
             let target = w.host(aid);
-            let probe = probe_representatives(&w, &net, &vps, target.ip, i as u64);
+            let probe = rep_probe(&w, &net, &vps, target.ip, i as u64);
             let Some(best) = probe.scores.first().filter(|s| s.median_rtt.is_some()) else {
                 continue;
             };
@@ -335,9 +324,9 @@ mod tests {
         let (w, net) = setup();
         let vps = clean_probes(&w);
         let target = w.host(w.anchors[1]);
-        let probe = probe_representatives(&w, &net, &vps, target.ip, 2);
+        let probe = rep_probe(&w, &net, &vps, target.ip, 2);
         for k in [1usize, 3, 10] {
-            let out = geolocate_with_selection(&w, &net, &probe, target.ip, k, 2);
+            let out = select(&w, &net, &probe, target.ip, k, 2);
             assert!(out.selected_vps.len() <= k);
             let r = out.cbg.expect("CBG must produce an estimate");
             let err = r.estimate.distance(&target.location).value();
@@ -350,8 +339,8 @@ mod tests {
         let (w, net) = setup();
         let vps: Vec<HostId> = clean_probes(&w).into_iter().take(50).collect();
         let target = w.host(w.anchors[2]);
-        let probe = probe_representatives(&w, &net, &vps, target.ip, 3);
-        let out = geolocate_with_selection(&w, &net, &probe, target.ip, 10, 3);
+        let probe = rep_probe(&w, &net, &vps, target.ip, 3);
+        let out = select(&w, &net, &probe, target.ip, 10, 3);
         assert_eq!(out.measurements, 50 * 3 + out.selected_vps.len() as u64);
     }
 
@@ -416,7 +405,7 @@ mod tests {
         // An address in an unknown /24 has no hitlist entries at all.
         let bogus = Ipv4::from_octets(203, 0, 113, 7);
         let vps: Vec<HostId> = clean_probes(&w).into_iter().take(10).collect();
-        let probe = probe_representatives(&w, &net, &vps, bogus, 4);
+        let probe = rep_probe(&w, &net, &vps, bogus, 4);
         assert_eq!(probe.representatives.len(), REPRESENTATIVES);
         // All fills are unresponsive, so every VP has no score.
         assert!(probe.scores.iter().all(|s| s.median_rtt.is_none()));

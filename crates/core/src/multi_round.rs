@@ -1,4 +1,6 @@
-//! Multi-round VP selection — the paper's §7.2.3 extension.
+//! Multi-round VP selection — the paper's §7.2.3 extension, and the one
+//! region-guided selection engine: [`crate::two_step`] is its two-round
+//! case.
 //!
 //! "Round based geolocation is one key to scale": the two-step selection
 //! generalizes to `R` rounds, each using the previous round's CBG region
@@ -7,14 +9,23 @@
 //! (minutes of latency) per extra round — the exact trade-off §7.2.3
 //! describes.
 //!
-//! Round 1 probes the representatives from the fixed coverage subset.
-//! Each later round keeps one VP per (AS, city) inside the current region,
-//! *halving* the kept candidate count by RTT rank each round, re-probes
-//! the representatives, and tightens the region. The final round's best
-//! VP geolocates the target.
+//! Round 1 probes the representatives from the fixed coverage subset and
+//! CBG bounds the region. Each later round keeps one VP per (AS, city)
+//! inside the current region and re-probes the representatives; if
+//! another round follows, the best-ranked VPs (half as many each round)
+//! tighten the region. The last round's best VP pings the target for the
+//! final estimate. When the first region is empty (split representatives
+//! can make the median-RTT circles mutually inconsistent), the best
+//! first-round VP pings the target directly.
+//!
+//! Round `r >= 2` probes with nonce `nonce ^ 0xA5 ^ (r - 2) << 40` and the
+//! final ping uses `nonce ^ 0x5A`, so two rounds draw exactly the two-step
+//! measurements and every further round draws fresh ones. Every batch
+//! goes through the resilient executor.
 
-use crate::cbg::{cbg_with, CbgResult, VpMeasurement};
-use crate::million::probe_representatives;
+use crate::cbg::{cbg_with, vp_measurements, CbgResult, VpMeasurement};
+use crate::million::{probe_representatives, RepProbe};
+use crate::resilient::{self, Resilience, TargetLog};
 use geo_model::constraint::{Region, RegionScratch};
 use geo_model::ip::Ipv4;
 use geo_model::soi::SpeedOfInternet;
@@ -26,45 +37,140 @@ use world_sim::World;
 /// Outcome of a multi-round selection.
 #[derive(Debug, Clone)]
 pub struct MultiRoundOutcome {
-    /// Candidate-set size after each round (round 1 = coverage size).
+    /// Candidate-set size of each round that probed (round 1 = coverage
+    /// size); a round whose region holds no VP ends the selection.
     pub candidates_per_round: Vec<usize>,
+    /// The round-1 CBG over the coverage subset.
+    pub round1_cbg: Option<CbgResult>,
     /// The VP that finally geolocated the target.
     pub chosen_vp: Option<HostId>,
-    /// Final CBG result.
+    /// Final CBG result (from the chosen VP's RTT to the target).
     pub cbg: Option<CbgResult>,
-    /// Ping measurements spent across all rounds.
+    /// Ping measurements spent: every round's representative probes plus
+    /// the final target probe.
     pub measurements: u64,
     /// Platform API round trips consumed (one per round plus the final
     /// target probe) — the latency currency of §7.2.3.
     pub api_rounds: u32,
 }
 
-/// Runs `rounds >= 2` rounds of region-guided VP selection.
+/// Runs `rounds >= 2` rounds of region-guided VP selection for one
+/// target, every batch routed through the resilient executor.
 ///
-/// With `rounds == 2` this is exactly the two-step algorithm (§5.1.4).
+/// `coverage` is the fixed round-1 subset (from
+/// [`crate::two_step::greedy_coverage`]); `all_vps` is the full sanitized
+/// VP population later rounds draw from.
+#[allow(clippy::too_many_arguments)]
 pub fn geolocate(
     world: &World,
     net: &Network,
+    res: &Resilience,
     coverage: &[HostId],
     all_vps: &[HostId],
     target: Ipv4,
     rounds: u32,
     nonce: u64,
+    log: &mut TargetLog,
 ) -> MultiRoundOutcome {
     assert!(rounds >= 2, "multi-round needs at least two rounds");
-    let mut measurements = 0u64;
-    let mut api_rounds = 0u32;
     // One set of intersection buffers serves every CBG run for this
     // target (round 1, per-round tightening, final estimate).
     let mut scratch = RegionScratch::new();
     let mut candidates_per_round = Vec::with_capacity(rounds as usize);
 
     // Round 1: the coverage subset bounds the region.
-    let probe1 = probe_representatives(world, net, coverage, target, nonce);
-    measurements += probe1.measurements;
-    api_rounds += 1;
+    let probe1 = probe_representatives(world, net, res, coverage, target, nonce, log);
+    let mut measurements = probe1.measurements;
+    let mut api_rounds = 1u32;
     candidates_per_round.push(coverage.len());
-    let ms1: Vec<VpMeasurement> = probe1
+    let round1_cbg = cbg_with(
+        &ranked_measurements(world, &probe1, usize::MAX),
+        SpeedOfInternet::CBG,
+        &mut scratch,
+    );
+
+    let chosen = match &round1_cbg {
+        // Degenerate first region: no region to filter by.
+        None => best_vp(&probe1),
+        Some(first) => {
+            // Membership is tested against the reduced (active) constraint
+            // set: every point of the intersection lies inside the tightest
+            // circle, which the active set always contains, so the test is
+            // equivalent and much cheaper.
+            let mut region = Region::from_circles(first.region.active_circles());
+            let mut keep_cap = usize::MAX;
+            let mut chosen = None;
+            for round in 1..rounds {
+                let mut per_pop: HashMap<(u32, u32), HostId> = HashMap::new();
+                for &vp in all_vps {
+                    let h = world.host(vp);
+                    if region.contains(&h.registered_location) {
+                        per_pop.entry((h.asn.0, h.city.0)).or_insert(vp);
+                    }
+                }
+                let mut candidates: Vec<HostId> = per_pop.into_values().collect();
+                candidates.sort(); // deterministic order
+                if candidates.is_empty() {
+                    break;
+                }
+
+                let key = nonce ^ 0xA5 ^ (u64::from(round - 1) << 40);
+                let probe = probe_representatives(world, net, res, &candidates, target, key, log);
+                measurements += probe.measurements;
+                api_rounds += 1;
+                candidates_per_round.push(candidates.len());
+                let Some(best) = best_vp(&probe) else { break };
+                chosen = Some(best);
+                if round + 1 == rounds {
+                    break;
+                }
+
+                // Keep the best half for the next region (bounded below so
+                // the loop always converges to a single choice).
+                keep_cap = (keep_cap / 2).max(1).min(candidates.len());
+                let kept = ranked_measurements(world, &probe, keep_cap);
+                if let Some(next) = cbg_with(&kept, SpeedOfInternet::CBG, &mut scratch) {
+                    region = Region::from_circles(next.region.active_circles());
+                }
+            }
+            chosen
+        }
+    };
+
+    // Final probe: the chosen VP pings the target itself.
+    let final_cbg = chosen.and_then(|vp| {
+        measurements += 1;
+        api_rounds += 1;
+        let batch = resilient::ping_batch(world, net, res, &[vp], target, 3, nonce ^ 0x5A, log);
+        cbg_with(
+            &vp_measurements(world, &batch),
+            SpeedOfInternet::CBG,
+            &mut scratch,
+        )
+    });
+
+    MultiRoundOutcome {
+        candidates_per_round,
+        round1_cbg,
+        chosen_vp: chosen,
+        cbg: final_cbg,
+        measurements,
+        api_rounds,
+    }
+}
+
+/// The lowest-RTT responsive VP of a probe (scores sort responsive first).
+fn best_vp(probe: &RepProbe) -> Option<HostId> {
+    probe
+        .scores
+        .first()
+        .filter(|s| s.median_rtt.is_some())
+        .map(|s| s.vp)
+}
+
+/// The `k` best-ranked responsive VPs of a probe as CBG measurements.
+fn ranked_measurements(world: &World, probe: &RepProbe, k: usize) -> Vec<VpMeasurement> {
+    probe
         .scores
         .iter()
         .filter_map(|s| {
@@ -74,105 +180,15 @@ pub fn geolocate(
                 rtt,
             })
         })
-        .collect();
-    let Some(mut current) = cbg_with(&ms1, SpeedOfInternet::CBG, &mut scratch) else {
-        return MultiRoundOutcome {
-            candidates_per_round,
-            chosen_vp: None,
-            cbg: None,
-            measurements,
-            api_rounds,
-        };
-    };
-
-    let mut chosen: Option<HostId> = None;
-    let mut keep_cap = usize::MAX;
-    for round in 1..rounds {
-        // Candidates: one VP per (AS, city) inside the current region,
-        // capped at half the previous round's candidate count.
-        let active = Region::from_circles(current.region.active_circles());
-        let mut per_pop: HashMap<(u32, u32), HostId> = HashMap::new();
-        for &vp in all_vps {
-            let h = world.host(vp);
-            if active.contains(&h.registered_location) {
-                per_pop.entry((h.asn.0, h.city.0)).or_insert(vp);
-            }
-        }
-        let mut candidates: Vec<HostId> = per_pop.into_values().collect();
-        candidates.sort();
-        if candidates.is_empty() {
-            break;
-        }
-
-        let probe = probe_representatives(
-            world,
-            net,
-            &candidates,
-            target,
-            nonce ^ (round as u64) << 40,
-        );
-        measurements += probe.measurements;
-        api_rounds += 1;
-
-        // Rank, keep the best half for the next region (bounded below so
-        // the loop always converges to a single choice).
-        keep_cap = (keep_cap / 2).max(1).min(candidates.len());
-        let ranked: Vec<&crate::million::VpScore> = probe
-            .scores
-            .iter()
-            .filter(|s| s.median_rtt.is_some())
-            .collect();
-        candidates_per_round.push(candidates.len());
-        let Some(best) = ranked.first() else { break };
-        chosen = Some(best.vp);
-
-        // Tighten the region with the kept candidates' measurements.
-        let kept_ms: Vec<VpMeasurement> = ranked
-            .iter()
-            .take(keep_cap)
-            .map(|s| VpMeasurement {
-                vp: s.vp,
-                location: world.host(s.vp).registered_location,
-                rtt: s.median_rtt.expect("filtered"),
-            })
-            .collect();
-        if let Some(next) = cbg_with(&kept_ms, SpeedOfInternet::CBG, &mut scratch) {
-            current = next;
-        }
-    }
-
-    // Final probe: the chosen VP pings the target itself.
-    let final_cbg = chosen.and_then(|vp| {
-        measurements += 1;
-        api_rounds += 1;
-        net.ping_min(world, vp, target, 3, nonce ^ 0xF1FA)
-            .rtt()
-            .and_then(|rtt| {
-                cbg_with(
-                    &[VpMeasurement {
-                        vp,
-                        location: world.host(vp).registered_location,
-                        rtt,
-                    }],
-                    SpeedOfInternet::CBG,
-                    &mut scratch,
-                )
-            })
-    });
-
-    MultiRoundOutcome {
-        candidates_per_round,
-        chosen_vp: chosen,
-        cbg: final_cbg,
-        measurements,
-        api_rounds,
-    }
+        .take(k)
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::two_step::greedy_coverage;
+    use crate::two_step::{self, greedy_coverage};
+    use atlas_sim::faults::{FaultPlan, FaultProfile};
     use geo_model::rng::Seed;
     use geo_model::stats;
     use world_sim::WorldConfig;
@@ -189,11 +205,35 @@ mod tests {
         (w, net, clean)
     }
 
+    /// Fault-free run that discards the executor log.
+    fn run(
+        w: &World,
+        net: &Network,
+        cov: &[HostId],
+        vps: &[HostId],
+        t: Ipv4,
+        rounds: u32,
+        nonce: u64,
+    ) -> MultiRoundOutcome {
+        let mut log = TargetLog::default();
+        geolocate(
+            w,
+            net,
+            &Resilience::none(),
+            cov,
+            vps,
+            t,
+            rounds,
+            nonce,
+            &mut log,
+        )
+    }
+
     #[test]
     #[should_panic(expected = "two rounds")]
     fn rejects_single_round() {
         let (w, net, vps) = setup();
-        let _ = geolocate(&w, &net, &vps[..5], &vps, w.host(w.anchors[0]).ip, 1, 0);
+        let _ = run(&w, &net, &vps[..5], &vps, w.host(w.anchors[0]).ip, 1, 0);
     }
 
     #[test]
@@ -201,10 +241,47 @@ mod tests {
         let (w, net, vps) = setup();
         let coverage = greedy_coverage(&w, &vps, 20);
         let target = w.host(w.anchors[0]);
-        let out = geolocate(&w, &net, &coverage, &vps, target.ip, 2, 1);
+        let out = run(&w, &net, &coverage, &vps, target.ip, 2, 1);
         assert_eq!(out.candidates_per_round.len(), 2);
         assert!(out.cbg.is_some());
         assert!(out.api_rounds >= 3); // 2 rounds + final probe
+
+        // Two rounds are the two-step algorithm (§5.1.4) draw for draw,
+        // fault-free and under a hostile plan.
+        let bits = |r: &Option<CbgResult>| {
+            r.as_ref()
+                .map(|r| (r.estimate.lat().to_bits(), r.estimate.lon().to_bits()))
+        };
+        let plan = FaultPlan::new(Seed(341), FaultProfile::Hostile);
+        for (res, faulty) in [
+            (Resilience::none(), false),
+            (Resilience::with_plan(&plan), true),
+        ] {
+            let mut faults = 0;
+            for (i, &aid) in w.anchors.iter().enumerate().take(24) {
+                let ip = w.host(aid).ip;
+                let nonce = i as u64;
+                let (mut log_m, mut log_t) = (TargetLog::default(), TargetLog::default());
+                let m = geolocate(&w, &net, &res, &coverage, &vps, ip, 2, nonce, &mut log_m);
+                let t = two_step::geolocate(&w, &net, &res, &coverage, &vps, ip, nonce, &mut log_t);
+                assert_eq!(m.chosen_vp, t.chosen_vp, "anchor {i}: chosen VP");
+                assert_eq!(bits(&m.cbg), bits(&t.cbg), "anchor {i}: estimate");
+                assert_eq!(
+                    bits(&m.round1_cbg),
+                    bits(&t.step1_cbg),
+                    "anchor {i}: region"
+                );
+                assert_eq!(
+                    m.candidates_per_round.get(1).copied().unwrap_or(0),
+                    t.step2_candidates,
+                    "anchor {i}: candidates"
+                );
+                assert_eq!(m.measurements, t.measurements, "anchor {i}: measurements");
+                assert_eq!(log_m, log_t, "anchor {i}: executor log");
+                faults += log_m.faults.total();
+            }
+            assert_eq!(faults > 0, faulty, "faults seen: {faults}");
+        }
     }
 
     #[test]
@@ -216,7 +293,7 @@ mod tests {
         for (i, &aid) in w.anchors.iter().enumerate().take(12) {
             let target = w.host(aid);
             for (rounds, errs) in [(2u32, &mut errs2), (4u32, &mut errs4)] {
-                let out = geolocate(&w, &net, &coverage, &vps, target.ip, rounds, i as u64);
+                let out = run(&w, &net, &coverage, &vps, target.ip, rounds, i as u64);
                 if let Some(r) = &out.cbg {
                     errs.push(r.estimate.distance(&target.location).value());
                 }
@@ -235,8 +312,8 @@ mod tests {
         let (w, net, vps) = setup();
         let coverage = greedy_coverage(&w, &vps, 20);
         let target = w.host(w.anchors[1]);
-        let o2 = geolocate(&w, &net, &coverage, &vps, target.ip, 2, 3);
-        let o4 = geolocate(&w, &net, &coverage, &vps, target.ip, 4, 3);
+        let o2 = run(&w, &net, &coverage, &vps, target.ip, 2, 3);
+        let o4 = run(&w, &net, &coverage, &vps, target.ip, 4, 3);
         assert!(
             o4.api_rounds > o2.api_rounds,
             "extra rounds must cost latency"

@@ -9,7 +9,7 @@
 //! entry can be audited — the explainability the commercial databases
 //! lack.
 
-use crate::cbg::{cbg, VpMeasurement};
+use crate::cbg::{cbg, vp_measurements};
 use crate::resilient::{self, CampaignReport, Resilience, TargetLog};
 use geo_model::ip::Prefix24;
 use geo_model::point::GeoPoint;
@@ -185,26 +185,14 @@ impl fmt::Display for DatasetEntry {
 
 /// Builds the public dataset for the given prefixes, preferring the most
 /// reliable evidence: geofeed → DNS hint → latency (CBG over the supplied
-/// vantage points) → WHOIS.
+/// vantage points, pinged through the resilient executor) → WHOIS.
+/// Returns the per-campaign accounting alongside the entries.
 ///
 /// Each prefix is resolved independently — a pure function of
-/// `(world, net, vps, prefix, nonce)` — so the campaign fans out over
+/// `(world, net, res, vps, prefix, nonce)` — so the campaign fans out over
 /// [`geo_model::runtime::par_map_indexed`] and the result is bit-identical
 /// at any `IPGEO_THREADS` setting.
 pub fn build_dataset(
-    world: &World,
-    net: &Network,
-    vps: &[HostId],
-    prefixes: &[Prefix24],
-    nonce: u64,
-) -> Vec<DatasetEntry> {
-    build_dataset_resilient(world, net, &Resilience::none(), vps, prefixes, nonce).0
-}
-
-/// [`build_dataset`] with latency campaigns routed through the resilient
-/// executor, returning the per-campaign accounting alongside the entries.
-/// Fault-free, the entries are byte-identical to [`build_dataset`]'s.
-pub fn build_dataset_resilient(
     world: &World,
     net: &Network,
     res: &Resilience,
@@ -273,16 +261,7 @@ fn locate_prefix(
     {
         let batch =
             resilient::ping_batch(world, net, res, vps, ip, 3, nonce ^ prefix.0 as u64, log);
-        let ms: Vec<VpMeasurement> = batch
-            .iter()
-            .filter_map(|(vp, outcome)| {
-                outcome.rtt().map(|rtt| VpMeasurement {
-                    vp: *vp,
-                    location: world.host(*vp).registered_location,
-                    rtt,
-                })
-            })
-            .collect();
+        let ms = vp_measurements(world, &batch);
         if let Some(result) = cbg(&ms, SpeedOfInternet::CBG) {
             let best = ms
                 .iter()
@@ -342,7 +321,7 @@ mod tests {
     #[test]
     fn covers_every_prefix_with_evidence() {
         let (w, net, vps, prefixes) = setup();
-        let ds = build_dataset(&w, &net, &vps, &prefixes, 1);
+        let ds = build_dataset(&w, &net, &Resilience::none(), &vps, &prefixes, 1).0;
         assert_eq!(ds.len(), prefixes.len());
         // All four evidence classes are reachable at this scale except
         // possibly WHOIS; at minimum two classes must appear.
@@ -355,7 +334,7 @@ mod tests {
     #[test]
     fn dataset_is_reasonably_accurate() {
         let (w, net, vps, prefixes) = setup();
-        let ds = build_dataset(&w, &net, &vps, &prefixes, 1);
+        let ds = build_dataset(&w, &net, &Resilience::none(), &vps, &prefixes, 1).0;
         let errors: Vec<f64> = ds
             .iter()
             .map(|e| {
@@ -374,11 +353,15 @@ mod tests {
 
     #[test]
     fn resilient_dataset_matches_plain_when_fault_free() {
+        use atlas_sim::faults::{FaultPlan, FaultProfile};
         let (w, net, vps, prefixes) = setup();
-        let plain = build_dataset(&w, &net, &vps, &prefixes, 1);
+        let (plain, plain_report) =
+            build_dataset(&w, &net, &Resilience::none(), &vps, &prefixes, 1);
+        let plan = FaultPlan::new(Seed(63), FaultProfile::None);
         let (entries, report) =
-            build_dataset_resilient(&w, &net, &Resilience::none(), &vps, &prefixes, 1);
+            build_dataset(&w, &net, &Resilience::with_plan(&plan), &vps, &prefixes, 1);
         assert_eq!(plain, entries);
+        assert_eq!(plain_report, report);
         assert_eq!(report.targets, prefixes.len() as u64);
         assert_eq!(report.retries, 0);
         assert_eq!(report.faults.total(), 0);
@@ -401,7 +384,7 @@ mod tests {
         prefixes.dedup();
         let plan = FaultPlan::new(Seed(63), FaultProfile::Hostile);
         let res = Resilience::with_plan(&plan);
-        let (entries, report) = build_dataset_resilient(&w, &net, &res, &vps, &prefixes, 1);
+        let (entries, report) = build_dataset(&w, &net, &res, &vps, &prefixes, 1);
         // Every owned prefix still gets an entry: the evidence ladder
         // degrades (latency → WHOIS) rather than dropping coverage.
         assert_eq!(entries.len(), prefixes.len());
@@ -413,7 +396,7 @@ mod tests {
     #[test]
     fn csv_is_well_formed() {
         let (w, net, vps, prefixes) = setup();
-        let ds = build_dataset(&w, &net, &vps, &prefixes[..5], 1);
+        let ds = build_dataset(&w, &net, &Resilience::none(), &vps, &prefixes[..5], 1).0;
         let csv = to_csv(&ds);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], "prefix,lat,lon,method,confidence,evidence");
@@ -428,7 +411,7 @@ mod tests {
     #[test]
     fn csv_carries_the_evidence_trail() {
         let (w, net, vps, prefixes) = setup();
-        let ds = build_dataset(&w, &net, &vps, &prefixes, 1);
+        let ds = build_dataset(&w, &net, &Resilience::none(), &vps, &prefixes, 1).0;
         for e in &ds {
             let detail = e.evidence.detail();
             assert!(!detail.contains(','), "evidence breaks CSV: {detail}");
@@ -455,7 +438,7 @@ mod tests {
     #[test]
     fn latency_evidence_names_its_vp() {
         let (w, net, vps, prefixes) = setup();
-        let ds = build_dataset(&w, &net, &vps, &prefixes, 1);
+        let ds = build_dataset(&w, &net, &Resilience::none(), &vps, &prefixes, 1).0;
         for e in &ds {
             if let Evidence::Latency {
                 vps: n,

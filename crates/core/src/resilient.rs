@@ -317,35 +317,16 @@ pub fn valid_rtt_ms(ms: f64) -> bool {
 }
 
 /// Pings `target` from every VP with a per-VP nonce chosen by `vp_nonce`
-/// (index and id of the VP), retrying transient faults under `res`.
+/// (index and id of the VP), retrying transient faults under `res`, into a
+/// caller-owned buffer (cleared first): per-target campaign loops reuse one
+/// buffer across batches, so the fault-free path performs no allocations.
 ///
 /// The fault-free path issues exactly
 /// `net.ping_min(world, vp, target, packets, vp_nonce(i, vp))` per VP —
-/// byte-identical to the pre-executor drivers.
-#[allow(clippy::too_many_arguments)]
-pub fn ping_batch_keyed(
-    world: &World,
-    net: &Network,
-    res: &Resilience,
-    vps: &[HostId],
-    target: Ipv4,
-    packets: usize,
-    batch_key: u64,
-    vp_nonce: impl Fn(usize, HostId) -> u64,
-    log: &mut TargetLog,
-) -> Vec<(HostId, PingOutcome)> {
-    let mut out = Vec::new();
-    ping_batch_keyed_into(
-        world, net, res, vps, target, packets, batch_key, vp_nonce, log, &mut out,
-    );
-    out
-}
-
-/// [`ping_batch_keyed`] delivering into a caller-owned buffer (cleared
-/// first): per-target campaign loops reuse one buffer across batches, so
-/// the fault-free path performs no allocations at all. Results are always
-/// an ordered subsequence of `vps` — delivered in request order, with
-/// churned VPs skipped and truncation dropping a suffix.
+/// byte-identical to direct calls. Results are always an ordered
+/// subsequence of `vps` — delivered in request order, with churned VPs
+/// skipped and truncation dropping a suffix. A lost or garbled reply is
+/// delivered as [`PingOutcome::Timeout`].
 #[allow(clippy::too_many_arguments)]
 pub fn ping_batch_keyed_into(
     world: &World,
@@ -359,12 +340,100 @@ pub fn ping_batch_keyed_into(
     log: &mut TargetLog,
     out: &mut Vec<(HostId, PingOutcome)>,
 ) {
+    run_batch(
+        res,
+        vps,
+        batch_key,
+        packets as u64 * CostSchedule::default().per_ping_packet,
+        Some(PingOutcome::Timeout),
+        vp_nonce,
+        |vp, nonce| net.ping_min(world, vp, target, packets, nonce),
+        log,
+        out,
+    );
+}
+
+/// [`ping_batch_keyed_into`] with a single nonce for every VP — the common
+/// driver pattern `net.ping_min(world, vp, target, packets, nonce)`.
+#[allow(clippy::too_many_arguments)]
+pub fn ping_batch(
+    world: &World,
+    net: &Network,
+    res: &Resilience,
+    vps: &[HostId],
+    target: Ipv4,
+    packets: usize,
+    nonce: u64,
+    log: &mut TargetLog,
+) -> Vec<(HostId, PingOutcome)> {
+    let mut out = Vec::new();
+    ping_batch_keyed_into(
+        world,
+        net,
+        res,
+        vps,
+        target,
+        packets,
+        nonce,
+        |_, _| nonce,
+        log,
+        &mut out,
+    );
+    out
+}
+
+/// Traceroutes `target` from every VP, retrying transient faults. Same
+/// contract as [`ping_batch_keyed_into`]; traceroutes see API faults,
+/// churn and truncation but no reply-level faults (hop validation lives
+/// in `net-sim`).
+#[allow(clippy::too_many_arguments)]
+pub fn traceroute_batch_keyed(
+    world: &World,
+    net: &Network,
+    res: &Resilience,
+    vps: &[HostId],
+    target: Ipv4,
+    batch_key: u64,
+    vp_nonce: impl Fn(usize, HostId) -> u64,
+    log: &mut TargetLog,
+) -> Vec<(HostId, Traceroute)> {
+    let mut out = Vec::new();
+    run_batch(
+        res,
+        vps,
+        batch_key,
+        CostSchedule::default().per_traceroute,
+        None,
+        vp_nonce,
+        |vp, nonce| net.traceroute(world, vp, target, nonce),
+        log,
+        &mut out,
+    );
+    out
+}
+
+/// The attempt loop behind every batch: charge `per_vp_cost` per VP and
+/// attempt, refund API faults and churned VPs, back off and retry until
+/// `required(n)` results arrived or the attempts ran out, and deliver the
+/// best attempt into `out` (cleared first). `reply_fault` is what a lost
+/// or garbled reply delivers; `None` for kinds without reply-level faults.
+#[allow(clippy::too_many_arguments)]
+fn run_batch<R: Clone>(
+    res: &Resilience,
+    vps: &[HostId],
+    batch_key: u64,
+    per_vp_cost: u64,
+    reply_fault: Option<R>,
+    vp_nonce: impl Fn(usize, HostId) -> u64,
+    measure: impl Fn(HostId, u64) -> R,
+    log: &mut TargetLog,
+    out: &mut Vec<(HostId, R)>,
+) {
     out.clear();
     let n = vps.len();
     if n == 0 {
         return;
     }
-    let per_vp_cost = packets as u64 * CostSchedule::default().per_ping_packet;
     log.requested += n as u64;
     log.credits.baseline += n as u64 * per_vp_cost;
 
@@ -372,12 +441,11 @@ pub fn ping_batch_keyed_into(
         log.attempts += 1;
         log.credits.charged += n as u64 * per_vp_cost;
         log.delivered += n as u64;
-        out.extend(vps.iter().enumerate().map(|(i, &vp)| {
-            (
-                vp,
-                net.ping_min(world, vp, target, packets, vp_nonce(i, vp)),
-            )
-        }));
+        out.extend(
+            vps.iter()
+                .enumerate()
+                .map(|(i, &vp)| (vp, measure(vp, vp_nonce(i, vp)))),
+        );
         return;
     };
 
@@ -385,7 +453,7 @@ pub fn ping_batch_keyed_into(
     // One churn window per batch: backoff is short next to a churn window,
     // so a probe that is down stays down for the whole batch.
     let window = splitmix64(batch_key ^ 0xC0FF_EE11);
-    let mut best: Vec<(HostId, PingOutcome)> = Vec::new();
+    let mut best: Vec<(HostId, R)> = Vec::new();
 
     for attempt in 0..res.policy.max_attempts {
         log.attempts += 1;
@@ -407,25 +475,27 @@ pub fn ping_batch_keyed_into(
             continue;
         }
 
-        let mut delivered: Vec<(HostId, PingOutcome)> = Vec::with_capacity(n);
+        let mut delivered: Vec<(HostId, R)> = Vec::with_capacity(n);
         for (i, &vp) in vps.iter().enumerate() {
             if plan.vp_disconnected(vp, window) {
                 log.faults.disconnects += 1;
                 log.credits.refunded += per_vp_cost;
                 continue;
             }
-            if plan.reply_lost(vp, call) {
-                log.faults.replies_lost += 1;
-                delivered.push((vp, PingOutcome::Timeout));
-                continue;
-            }
-            if let Some(bad) = plan.garbled_rtt(vp, call) {
-                // Validate, count, and discard malformed RTTs instead of
-                // letting them poison the constraint solver.
-                debug_assert!(!valid_rtt_ms(bad.value()));
-                log.faults.garbled += 1;
-                delivered.push((vp, PingOutcome::Timeout));
-                continue;
+            if let Some(fault) = &reply_fault {
+                if plan.reply_lost(vp, call) {
+                    log.faults.replies_lost += 1;
+                    delivered.push((vp, fault.clone()));
+                    continue;
+                }
+                if let Some(bad) = plan.garbled_rtt(vp, call) {
+                    // Validate, count, and discard malformed RTTs instead
+                    // of letting them poison the constraint solver.
+                    debug_assert!(!valid_rtt_ms(bad.value()));
+                    log.faults.garbled += 1;
+                    delivered.push((vp, fault.clone()));
+                    continue;
+                }
             }
             let nonce = if attempt == 0 {
                 vp_nonce(i, vp)
@@ -433,7 +503,7 @@ pub fn ping_batch_keyed_into(
                 // Retries are genuinely new measurements.
                 splitmix64(vp_nonce(i, vp) ^ splitmix64(0x5EED ^ attempt as u64))
             };
-            delivered.push((vp, net.ping_min(world, vp, target, packets, nonce)));
+            delivered.push((vp, measure(vp, nonce)));
         }
         let kept = plan.delivered_len(delivered.len(), call);
         log.faults.truncated += (delivered.len() - kept) as u64;
@@ -454,152 +524,6 @@ pub fn ping_batch_keyed_into(
     }
     log.delivered += best.len() as u64;
     *out = best;
-}
-
-/// [`ping_batch_keyed`] with a single nonce for every VP — the common
-/// driver pattern `net.ping_min(world, vp, target, packets, nonce)`.
-#[allow(clippy::too_many_arguments)]
-pub fn ping_batch(
-    world: &World,
-    net: &Network,
-    res: &Resilience,
-    vps: &[HostId],
-    target: Ipv4,
-    packets: usize,
-    nonce: u64,
-    log: &mut TargetLog,
-) -> Vec<(HostId, PingOutcome)> {
-    ping_batch_keyed(
-        world,
-        net,
-        res,
-        vps,
-        target,
-        packets,
-        nonce,
-        |_, _| nonce,
-        log,
-    )
-}
-
-/// [`ping_batch`] delivering into a caller-owned buffer (see
-/// [`ping_batch_keyed_into`]).
-#[allow(clippy::too_many_arguments)]
-pub fn ping_batch_into(
-    world: &World,
-    net: &Network,
-    res: &Resilience,
-    vps: &[HostId],
-    target: Ipv4,
-    packets: usize,
-    nonce: u64,
-    log: &mut TargetLog,
-    out: &mut Vec<(HostId, PingOutcome)>,
-) {
-    ping_batch_keyed_into(
-        world,
-        net,
-        res,
-        vps,
-        target,
-        packets,
-        nonce,
-        |_, _| nonce,
-        log,
-        out,
-    );
-}
-
-/// Traceroutes `target` from every VP, retrying transient faults. Same
-/// contract as [`ping_batch_keyed`]; traceroutes see API faults, churn and
-/// truncation but no reply-level garbling (hop validation lives in
-/// `net-sim`).
-#[allow(clippy::too_many_arguments)]
-pub fn traceroute_batch_keyed(
-    world: &World,
-    net: &Network,
-    res: &Resilience,
-    vps: &[HostId],
-    target: Ipv4,
-    batch_key: u64,
-    vp_nonce: impl Fn(usize, HostId) -> u64,
-    log: &mut TargetLog,
-) -> Vec<(HostId, Traceroute)> {
-    let n = vps.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let per_vp_cost = CostSchedule::default().per_traceroute;
-    log.requested += n as u64;
-    log.credits.baseline += n as u64 * per_vp_cost;
-
-    let Some(plan) = res.active() else {
-        log.attempts += 1;
-        log.credits.charged += n as u64 * per_vp_cost;
-        log.delivered += n as u64;
-        return vps
-            .iter()
-            .enumerate()
-            .map(|(i, &vp)| (vp, net.traceroute(world, vp, target, vp_nonce(i, vp))))
-            .collect();
-    };
-
-    let required = res.policy.required(n);
-    let window = splitmix64(batch_key ^ 0xC0FF_EE11);
-    let mut best: Vec<(HostId, Traceroute)> = Vec::new();
-
-    for attempt in 0..res.policy.max_attempts {
-        log.attempts += 1;
-        if attempt > 0 {
-            log.retries += 1;
-            log.backoff_secs += res.policy.backoff_secs(attempt - 1);
-        }
-        log.credits.charged += n as u64 * per_vp_cost;
-        let call = splitmix64(batch_key ^ splitmix64(0x0A11_C0DE ^ attempt as u64));
-
-        if let Some(fault) = plan.api_fault(call) {
-            match fault {
-                ApiFault::RateLimited => log.faults.rate_limited += 1,
-                ApiFault::ServerError => log.faults.server_errors += 1,
-                ApiFault::Timeout => log.faults.api_timeouts += 1,
-            }
-            log.credits.refunded += n as u64 * per_vp_cost;
-            continue;
-        }
-
-        let mut delivered: Vec<(HostId, Traceroute)> = Vec::with_capacity(n);
-        for (i, &vp) in vps.iter().enumerate() {
-            if plan.vp_disconnected(vp, window) {
-                log.faults.disconnects += 1;
-                log.credits.refunded += per_vp_cost;
-                continue;
-            }
-            let nonce = if attempt == 0 {
-                vp_nonce(i, vp)
-            } else {
-                splitmix64(vp_nonce(i, vp) ^ splitmix64(0x5EED ^ attempt as u64))
-            };
-            delivered.push((vp, net.traceroute(world, vp, target, nonce)));
-        }
-        let kept = plan.delivered_len(delivered.len(), call);
-        log.faults.truncated += (delivered.len() - kept) as u64;
-        delivered.truncate(kept);
-
-        if delivered.len() > best.len() {
-            best = delivered;
-        }
-        if best.len() >= required {
-            break;
-        }
-    }
-
-    if best.is_empty() {
-        log.failed_batches += 1;
-    } else if best.len() < n {
-        log.degraded_batches += 1;
-    }
-    log.delivered += best.len() as u64;
-    best
 }
 
 #[cfg(test)]

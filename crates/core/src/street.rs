@@ -23,7 +23,7 @@
 //! (mapping-service rate limits, locality-test fetches, measurement API
 //! round trips) for the Fig. 6c scalability analysis.
 
-use crate::cbg::{cbg_with, CbgResult, VpMeasurement};
+use crate::cbg::{cbg_with, vp_measurements, CbgResult};
 use crate::resilient::{self, Resilience, TargetLog};
 use geo_model::constraint::{Circle, Region, RegionScratch};
 use geo_model::point::GeoPoint;
@@ -133,36 +133,13 @@ pub struct StreetOutcome {
     pub used_fallback_soi: bool,
 }
 
-/// Geolocates one target with the street-level technique.
+/// Geolocates one target with the street-level technique, every
+/// measurement batch routed through the resilient executor.
 ///
 /// `vps` are the tier-1 vantage points (anchors, excluding the target
 /// itself); they must already be sanitized.
-pub fn geolocate(
-    world: &World,
-    net: &Network,
-    eco: &WebEcosystem,
-    vps: &[HostId],
-    target: HostId,
-    cfg: &StreetConfig,
-    nonce: u64,
-) -> StreetOutcome {
-    geolocate_resilient(
-        world,
-        net,
-        eco,
-        &Resilience::none(),
-        vps,
-        target,
-        cfg,
-        nonce,
-        &mut TargetLog::default(),
-    )
-}
-
-/// [`geolocate`] with every measurement batch routed through the resilient
-/// executor. Fault-free, it issues exactly the same `net-sim` calls.
 #[allow(clippy::too_many_arguments)]
-pub fn geolocate_resilient(
+pub fn geolocate(
     world: &World,
     net: &Network,
     eco: &WebEcosystem,
@@ -182,7 +159,8 @@ pub fn geolocate_resilient(
     let mut tester = LocalityTester::new(net.seed().derive_index("street", nonce));
 
     // ---- Tier 1 ----
-    let tier1_batch = resilient::ping_batch_keyed(
+    let mut tier1_batch = Vec::new();
+    resilient::ping_batch_keyed_into(
         world,
         net,
         res,
@@ -192,17 +170,9 @@ pub fn geolocate_resilient(
         nonce,
         |_, vp: HostId| splitmix64(nonce ^ vp.0 as u64),
         log,
+        &mut tier1_batch,
     );
-    let tier1_ms: Vec<VpMeasurement> = tier1_batch
-        .iter()
-        .filter_map(|(vp, outcome)| {
-            outcome.rtt().map(|rtt| VpMeasurement {
-                vp: *vp,
-                location: world.host(*vp).registered_location,
-                rtt,
-            })
-        })
-        .collect();
+    let tier1_ms = vp_measurements(world, &tier1_batch);
     virtual_secs += cfg.api_round_secs; // one ping campaign
     let tier1 = cbg_with(&tier1_ms, cfg.soi, &mut scratch);
 
@@ -535,6 +505,30 @@ mod tests {
         (w, net, eco)
     }
 
+    /// Fault-free run that discards the executor log.
+    fn run(
+        w: &World,
+        net: &Network,
+        eco: &WebEcosystem,
+        vps: &[HostId],
+        target: HostId,
+        nonce: u64,
+    ) -> StreetOutcome {
+        let mut log = TargetLog::default();
+        let cfg = StreetConfig::default();
+        geolocate(
+            w,
+            net,
+            eco,
+            &Resilience::none(),
+            vps,
+            target,
+            &cfg,
+            nonce,
+            &mut log,
+        )
+    }
+
     fn clean_anchor_vps(w: &World, exclude: HostId) -> Vec<HostId> {
         w.anchors
             .iter()
@@ -548,7 +542,7 @@ mod tests {
         let (w, net, eco) = setup();
         let target = w.anchors[0];
         let vps = clean_anchor_vps(&w, target);
-        let out = geolocate(&w, &net, &eco, &vps, target, &StreetConfig::default(), 1);
+        let out = run(&w, &net, &eco, &vps, target, 1);
         assert!(out.tier1.is_some());
         let est = out.estimate.expect("estimate");
         let err = est.distance(&w.host(target).location).value();
@@ -563,8 +557,8 @@ mod tests {
         let (w, net, eco) = setup();
         let target = w.anchors[1];
         let vps = clean_anchor_vps(&w, target);
-        let a = geolocate(&w, &net, &eco, &vps, target, &StreetConfig::default(), 5);
-        let b = geolocate(&w, &net, &eco, &vps, target, &StreetConfig::default(), 5);
+        let a = run(&w, &net, &eco, &vps, target, 5);
+        let b = run(&w, &net, &eco, &vps, target, 5);
         assert_eq!(
             a.estimate.map(|p| (p.lat(), p.lon())),
             b.estimate.map(|p| (p.lat(), p.lon()))
@@ -582,7 +576,7 @@ mod tests {
         let mut measured = 0usize;
         for &target in w.anchors.iter().take(8) {
             let vps = clean_anchor_vps(&w, target);
-            let out = geolocate(&w, &net, &eco, &vps, target, &StreetConfig::default(), 77);
+            let out = run(&w, &net, &eco, &vps, target, 77);
             for lm in &out.landmarks {
                 if let Some(d) = lm.delay_ms {
                     measured += 1;
@@ -612,7 +606,7 @@ mod tests {
             let plan = FaultPlan::new(Seed(31), FaultProfile::Hostile);
             let res = Resilience::with_plan(&plan);
             let mut log = TargetLog::default();
-            let out = geolocate_resilient(
+            let out = geolocate(
                 &w,
                 &net,
                 &eco,

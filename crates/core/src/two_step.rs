@@ -13,15 +13,12 @@
 //! finds the sweet spot at `s = 500` (2.88M measurements, 13.2% of the
 //! original) with no accuracy loss.
 
-use crate::cbg::{cbg_with, CbgResult, VpMeasurement};
-use crate::million::{probe_representatives_resilient, RepProbe};
-use crate::resilient::{self, Resilience, TargetLog};
-use geo_model::constraint::RegionScratch;
+use crate::cbg::CbgResult;
+use crate::multi_round;
+use crate::resilient::{Resilience, TargetLog};
 use geo_model::ip::Ipv4;
 use geo_model::point::GeoPoint;
-use geo_model::soi::SpeedOfInternet;
 use net_sim::Network;
-use std::collections::HashMap;
 use world_sim::ids::HostId;
 use world_sim::World;
 
@@ -90,38 +87,21 @@ pub struct TwoStepOutcome {
     pub chosen_vp: Option<HostId>,
     /// Final CBG result (from the chosen VP's RTT to the target).
     pub cbg: Option<CbgResult>,
-    /// Ping measurements spent: step 1 + step 2 representative probes.
+    /// Ping measurements spent: step 1 + step 2 representative probes plus
+    /// the final target ping.
     pub measurements: u64,
 }
 
-/// Runs the two-step selection and geolocation for one target.
+/// Runs the two-step selection and geolocation for one target: the
+/// two-round case of [`multi_round::geolocate`], every batch routed
+/// through the resilient executor.
 ///
 /// `coverage` is the fixed first-step subset (from [`greedy_coverage`]);
 /// `all_vps` is the full sanitized VP population that step 2 draws from.
-pub fn geolocate(
-    world: &World,
-    net: &Network,
-    coverage: &[HostId],
-    all_vps: &[HostId],
-    target: Ipv4,
-    nonce: u64,
-) -> TwoStepOutcome {
-    geolocate_resilient(
-        world,
-        net,
-        &Resilience::none(),
-        coverage,
-        all_vps,
-        target,
-        nonce,
-        &mut TargetLog::default(),
-    )
-}
-
-/// [`geolocate`] with every measurement batch routed through the resilient
-/// executor. Fault-free, it issues exactly the same `net-sim` calls.
+/// When the first-step region is empty, the best first-step VP geolocates
+/// the target directly.
 #[allow(clippy::too_many_arguments)]
-pub fn geolocate_resilient(
+pub fn geolocate(
     world: &World,
     net: &Network,
     res: &Resilience,
@@ -131,112 +111,13 @@ pub fn geolocate_resilient(
     nonce: u64,
     log: &mut TargetLog,
 ) -> TwoStepOutcome {
-    // One set of intersection buffers serves every CBG run for this
-    // target (step 1, fallback, final estimate).
-    let mut scratch = RegionScratch::new();
-    // A single chosen VP pings the target for the final estimate.
-    let final_ping = |vp: HostId, log: &mut TargetLog| {
-        resilient::ping_batch(world, net, res, &[vp], target, 3, nonce ^ 0x5A, log)
-            .first()
-            .and_then(|(_, o)| o.rtt())
-    };
-
-    // Step 1: coverage subset probes the representatives; CBG bounds the
-    // region the target (and its /24) must lie in.
-    let probe1 = probe_representatives_resilient(world, net, res, coverage, target, nonce, log);
-    let ms1: Vec<VpMeasurement> = probe1
-        .scores
-        .iter()
-        .filter_map(|s| {
-            s.median_rtt.map(|rtt| VpMeasurement {
-                vp: s.vp,
-                location: world.host(s.vp).registered_location,
-                rtt,
-            })
-        })
-        .collect();
-    let step1 = cbg_with(&ms1, SpeedOfInternet::CBG, &mut scratch);
-    let mut measurements = probe1.measurements;
-
-    let Some(step1_result) = step1 else {
-        // Degenerate first step (split representatives can make the
-        // median-RTT circles mutually inconsistent): fall back to the
-        // best-scoring first-step VP directly, without region filtering.
-        let chosen = probe1
-            .scores
-            .first()
-            .filter(|s| s.median_rtt.is_some())
-            .map(|s| s.vp);
-        let final_cbg = chosen.and_then(|vp| {
-            measurements += 1;
-            final_ping(vp, log).and_then(|rtt| {
-                cbg_with(
-                    &[VpMeasurement {
-                        vp,
-                        location: world.host(vp).registered_location,
-                        rtt,
-                    }],
-                    SpeedOfInternet::CBG,
-                    &mut scratch,
-                )
-            })
-        });
-        return TwoStepOutcome {
-            step1_cbg: None,
-            step2_candidates: 0,
-            chosen_vp: chosen,
-            cbg: final_cbg,
-            measurements,
-        };
-    };
-
-    // Step 2: one VP per (AS, city) inside the region. Membership is
-    // tested against the reduced (active) constraint set: every point of
-    // the intersection lies inside the tightest circle, which the active
-    // set always contains, so the test is equivalent and much cheaper.
-    let active_region =
-        geo_model::constraint::Region::from_circles(step1_result.region.active_circles());
-    let mut per_pop: HashMap<(u32, u32), HostId> = HashMap::new();
-    for &vp in all_vps {
-        let h = world.host(vp);
-        if active_region.contains(&h.registered_location) {
-            per_pop.entry((h.asn.0, h.city.0)).or_insert(vp);
-        }
-    }
-    let mut candidates: Vec<HostId> = per_pop.into_values().collect();
-    candidates.sort(); // deterministic order
-
-    let probe2: RepProbe =
-        probe_representatives_resilient(world, net, res, &candidates, target, nonce ^ 0xA5, log);
-    measurements += probe2.measurements;
-
-    let chosen = probe2
-        .scores
-        .first()
-        .filter(|s| s.median_rtt.is_some())
-        .map(|s| s.vp);
-
-    let final_cbg = chosen.and_then(|vp| {
-        measurements += 1;
-        final_ping(vp, log).and_then(|rtt| {
-            cbg_with(
-                &[VpMeasurement {
-                    vp,
-                    location: world.host(vp).registered_location,
-                    rtt,
-                }],
-                SpeedOfInternet::CBG,
-                &mut scratch,
-            )
-        })
-    });
-
+    let out = multi_round::geolocate(world, net, res, coverage, all_vps, target, 2, nonce, log);
     TwoStepOutcome {
-        step1_cbg: Some(step1_result),
-        step2_candidates: candidates.len(),
-        chosen_vp: chosen,
-        cbg: final_cbg,
-        measurements,
+        step1_cbg: out.round1_cbg,
+        step2_candidates: out.candidates_per_round.get(1).copied().unwrap_or(0),
+        chosen_vp: out.chosen_vp,
+        cbg: out.cbg,
+        measurements: out.measurements,
     }
 }
 
@@ -245,6 +126,19 @@ mod tests {
     use super::*;
     use geo_model::rng::Seed;
     use world_sim::WorldConfig;
+
+    /// Fault-free run that discards the executor log.
+    fn run(
+        w: &World,
+        net: &Network,
+        cov: &[HostId],
+        vps: &[HostId],
+        t: Ipv4,
+        nonce: u64,
+    ) -> TwoStepOutcome {
+        let mut log = TargetLog::default();
+        geolocate(w, net, &Resilience::none(), cov, vps, t, nonce, &mut log)
+    }
 
     fn setup() -> (World, Network, Vec<HostId>) {
         let w = World::generate(WorldConfig::small(Seed(191))).unwrap();
@@ -304,7 +198,7 @@ mod tests {
         let mut errors = Vec::new();
         for (i, &aid) in w.anchors.iter().enumerate().take(10) {
             let target = w.host(aid);
-            let out = geolocate(&w, &net, &coverage, &vps, target.ip, i as u64);
+            let out = run(&w, &net, &coverage, &vps, target.ip, i as u64);
             if let Some(r) = &out.cbg {
                 errors.push(r.estimate.distance(&target.location).value());
             }
@@ -321,8 +215,8 @@ mod tests {
         let small = greedy_coverage(&w, &vps, 5);
         let large = greedy_coverage(&w, &vps, 60);
         let target = w.host(w.anchors[0]);
-        let o_small = geolocate(&w, &net, &small, &vps, target.ip, 1);
-        let o_large = geolocate(&w, &net, &large, &vps, target.ip, 1);
+        let o_small = run(&w, &net, &small, &vps, target.ip, 1);
+        let o_large = run(&w, &net, &large, &vps, target.ip, 1);
         // Looser region (fewer step-1 VPs) should not yield fewer
         // candidates than the tight one.
         assert!(
@@ -342,7 +236,7 @@ mod tests {
             let plan = FaultPlan::new(Seed(21), FaultProfile::Hostile);
             let res = Resilience::with_plan(&plan);
             let mut log = TargetLog::default();
-            let out = geolocate_resilient(
+            let out = geolocate(
                 &w,
                 &net,
                 &res,
@@ -367,7 +261,7 @@ mod tests {
         let (w, net, vps) = setup();
         let coverage = greedy_coverage(&w, &vps, 20);
         let target = w.host(w.anchors[3]);
-        let out = geolocate(&w, &net, &coverage, &vps, target.ip, 9);
+        let out = run(&w, &net, &coverage, &vps, target.ip, 9);
         let full = (vps.len() * 3) as u64;
         assert!(
             out.measurements < full,

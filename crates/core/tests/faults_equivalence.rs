@@ -45,8 +45,7 @@ fn build(profile: FaultProfile) -> (Vec<DatasetEntry>, CampaignReport, String) {
     let (world, net, vps, prefixes) = setup();
     let plan = FaultPlan::new(Seed(351), profile);
     let res = Resilience::with_plan(&plan);
-    let (entries, report) =
-        ipgeo::publish::build_dataset_resilient(&world, &net, &res, &vps, &prefixes, 7);
+    let (entries, report) = ipgeo::publish::build_dataset(&world, &net, &res, &vps, &prefixes, 7);
     let csv = ipgeo::publish::to_csv(&entries);
     (entries, report, csv)
 }
@@ -99,17 +98,19 @@ fn faulty_campaign_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// Acceptance: the `none` profile goes through the executor yet yields the
-/// exact entries and CSV of the pre-executor `build_dataset`, with empty
-/// fault/retry accounting.
+/// Acceptance: a `none`-profile plan goes through the executor yet yields
+/// the exact entries, CSV and report of `Resilience::none()` (no plan at
+/// all), with empty fault/retry accounting.
 #[test]
 fn none_profile_matches_the_pre_executor_path() {
     let _env = ENV_LOCK.lock().unwrap();
     let (world, net, vps, prefixes) = setup();
-    let plain = ipgeo::publish::build_dataset(&world, &net, &vps, &prefixes, 7);
+    let (plain, plain_report) =
+        ipgeo::publish::build_dataset(&world, &net, &Resilience::none(), &vps, &prefixes, 7);
     let (entries, report, csv) = build(FaultProfile::None);
     assert_eq!(entry_bits(&plain), entry_bits(&entries));
     assert_eq!(ipgeo::publish::to_csv(&plain), csv);
+    assert_eq!(plain_report, report);
     assert_eq!(report.faults.total(), 0);
     assert_eq!(report.retries, 0);
     assert_eq!(report.credits.charged, report.credits.baseline);

@@ -15,6 +15,7 @@
 use geo_model::ip::Prefix24;
 use geo_model::rng::Seed;
 use ipgeo::publish::{build_dataset, to_csv};
+use ipgeo::Resilience;
 use net_sim::Network;
 use world_sim::ids::HostId;
 use world_sim::{World, WorldConfig};
@@ -81,7 +82,7 @@ fn entries_digest(entries: &[ipgeo::publish::DatasetEntry]) -> u64 {
 fn run_at(threads: &str) -> (u64, u64, u64) {
     std::env::set_var("IPGEO_THREADS", threads);
     let (w, net, vps, prefixes) = setup();
-    let entries = build_dataset(&w, &net, &vps, &prefixes, 7);
+    let (entries, _) = build_dataset(&w, &net, &Resilience::none(), &vps, &prefixes, 7);
     assert_eq!(entries.len(), prefixes.len());
     let csv = to_csv(&entries);
     let igds = geo_serve::format::encode(&entries, 351, 7);

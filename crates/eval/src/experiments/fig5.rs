@@ -9,6 +9,7 @@ use geo_model::units::Km;
 use ipgeo::cbg::{cbg, VpMeasurement};
 use ipgeo::oracle::closest_landmark;
 use ipgeo::street::{geolocate, StreetConfig, StreetOutcome};
+use ipgeo::{Resilience, TargetLog};
 use web_sim::locality::LocalityTester;
 
 /// Street-level outcomes for the street target sample; computed once and
@@ -35,10 +36,19 @@ impl StreetSet {
             let t = (i as f64 * stride) as usize;
             let target = d.targets[t];
             let vps: Vec<_> = d.anchors.iter().copied().filter(|&a| a != target).collect();
-            (
-                t,
-                geolocate(&d.world, &d.net, &d.eco, &vps, target, &cfg, t as u64),
-            )
+            let mut log = TargetLog::default();
+            let out = geolocate(
+                &d.world,
+                &d.net,
+                &d.eco,
+                &Resilience::none(),
+                &vps,
+                target,
+                &cfg,
+                t as u64,
+                &mut log,
+            );
+            (t, out)
         });
         StreetSet { outcomes }
     }

@@ -68,7 +68,8 @@ fn published_dataset_is_bit_identical_across_thread_counts() {
             .iter()
             .map(|&a| world.host(a).ip.prefix24())
             .collect();
-        ipgeo::publish::build_dataset(&world, &net, &vps, &prefixes, 1)
+        ipgeo::publish::build_dataset(&world, &net, &ipgeo::Resilience::none(), &vps, &prefixes, 1)
+            .0
     };
     std::env::set_var("IPGEO_THREADS", "1");
     let serial = build();

@@ -19,7 +19,7 @@
 //!   combined into one location with a noisy-or confidence score and a
 //!   source mask for the evidence trail.
 //! - [`pipeline`] — `build_dataset_fused`, the publish-pipeline plumbing:
-//!   the same evidence ladder as `ipgeo::publish::build_dataset_resilient`
+//!   the same evidence ladder as `ipgeo::publish::build_dataset`
 //!   with the latency rung upgraded to fusion. Hint-verification probes
 //!   draw from the same credit budget and fault plans as the baseline
 //!   campaign but are accounted separately ([`pipeline::FusedReport`]).

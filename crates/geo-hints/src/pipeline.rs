@@ -1,7 +1,7 @@
 //! Publish-pipeline plumbing for the fused method tier.
 //!
 //! [`build_dataset_fused`] walks the same evidence ladder as
-//! `ipgeo::publish::build_dataset_resilient` — geofeed first, WHOIS
+//! `ipgeo::publish::build_dataset` — geofeed first, WHOIS
 //! last — but upgrades the latency rung: after the baseline CBG
 //! campaign it mines rDNS hints from the prefix's hosts, verifies them
 //! against the constraint region (plus a small dedicated probe batch),
@@ -12,7 +12,7 @@
 //! Contracts, both load-bearing for the test suite:
 //!
 //! - **Hint coverage 0 is the baseline, byte for byte.** The pipeline
-//!   delegates to `build_dataset_resilient` outright, so fault-free
+//!   delegates to `build_dataset` outright, so fault-free
 //!   output under `Resilience::none()` is identical down to CSV and
 //!   `.igds` bytes.
 //! - **Same budget, separate books.** Verification probes run through
@@ -31,7 +31,7 @@ use geo_model::rng::fnv1a;
 use geo_model::soi::SpeedOfInternet;
 use ipgeo::dbsim::GeoDatabase;
 use ipgeo::publish::{self, DatasetEntry, Evidence};
-use ipgeo::{cbg, resilient, CampaignReport, Resilience, TargetLog, VpMeasurement};
+use ipgeo::{cbg, resilient, vp_measurements, CampaignReport, Resilience, TargetLog};
 use net_sim::Network;
 use std::fmt;
 use world_sim::ids::HostId;
@@ -111,8 +111,7 @@ pub fn build_dataset_fused(
     cfg: &FusedConfig,
 ) -> (Vec<DatasetEntry>, FusedReport) {
     if cfg.hints.coverage == 0.0 {
-        let (entries, base) =
-            publish::build_dataset_resilient(world, net, res, vps, prefixes, nonce);
+        let (entries, base) = publish::build_dataset(world, net, res, vps, prefixes, nonce);
         return (
             entries,
             FusedReport {
@@ -195,16 +194,7 @@ fn locate_fused(
             nonce ^ prefix.0 as u64,
             base_log,
         );
-        let ms: Vec<VpMeasurement> = batch
-            .iter()
-            .filter_map(|(vp, outcome)| {
-                outcome.rtt().map(|rtt| VpMeasurement {
-                    vp: *vp,
-                    location: world.host(*vp).registered_location,
-                    rtt,
-                })
-            })
-            .collect();
+        let ms = vp_measurements(world, &batch);
         if let Some(result) = cbg(&ms, SpeedOfInternet::CBG) {
             let hint = mine_and_verify(
                 world, net, res, vps, table, cfg, prefix, nonce, &result, hint_log,
@@ -309,16 +299,7 @@ fn mine_and_verify(
         nonce ^ prefix.0 as u64 ^ HINT_NONCE_SALT,
         hint_log,
     );
-    let checks: Vec<VpMeasurement> = batch
-        .iter()
-        .filter_map(|(vp, outcome)| {
-            outcome.rtt().map(|rtt| VpMeasurement {
-                vp: *vp,
-                location: world.host(*vp).registered_location,
-                rtt,
-            })
-        })
-        .collect();
+    let checks = vp_measurements(world, &batch);
     probe_consistent(&hint.center, &checks).then_some(hint)
 }
 
@@ -351,7 +332,7 @@ mod tests {
         let (w, net, vps, prefixes) = setup();
         let res = Resilience::none();
         let (base_entries, base_report) =
-            publish::build_dataset_resilient(&w, &net, &res, &vps, &prefixes, 7);
+            publish::build_dataset(&w, &net, &res, &vps, &prefixes, 7);
         let cfg = FusedConfig::new(0.0, 1.0);
         let (fused_entries, report) = build_dataset_fused(&w, &net, &res, &vps, &prefixes, 7, &cfg);
         assert_eq!(to_csv(&fused_entries), to_csv(&base_entries));

@@ -9,7 +9,7 @@
 use geo_hints::{build_dataset_fused, FusedConfig, FusedReport};
 use geo_model::ip::Prefix24;
 use geo_model::rng::Seed;
-use ipgeo::publish::{build_dataset_resilient, to_csv, DatasetEntry};
+use ipgeo::publish::{build_dataset, to_csv, DatasetEntry};
 use ipgeo::Resilience;
 use net_sim::Network;
 use std::sync::Mutex;
@@ -91,8 +91,7 @@ fn coverage_zero_matches_the_baseline_byte_for_byte() {
     std::env::remove_var("IPGEO_THREADS");
     let (world, net, vps, prefixes) = setup();
     let res = Resilience::none();
-    let (base_entries, base_report) =
-        build_dataset_resilient(&world, &net, &res, &vps, &prefixes, 7);
+    let (base_entries, base_report) = build_dataset(&world, &net, &res, &vps, &prefixes, 7);
     let cfg = FusedConfig::new(0.0, 0.5);
     let (entries, report) = build_dataset_fused(&world, &net, &res, &vps, &prefixes, 7, &cfg);
     assert_eq!(entry_bits(&entries), entry_bits(&base_entries));

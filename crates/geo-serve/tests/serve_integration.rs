@@ -5,6 +5,7 @@
 use geo_model::rng::Seed;
 use geo_serve::{format, query_one, DatasetStore, DiffReport, Manifest, QueryServer};
 use ipgeo::publish::{build_dataset, DatasetEntry};
+use ipgeo::Resilience;
 use net_sim::Network;
 use std::sync::Arc;
 use world_sim::{World, WorldConfig};
@@ -26,7 +27,7 @@ fn publish(seed: u64) -> Vec<DatasetEntry> {
         .iter()
         .map(|&a| world.host(a).ip.prefix24())
         .collect();
-    build_dataset(&world, &net, &mesh, &prefixes, 1)
+    build_dataset(&world, &net, &Resilience::none(), &mesh, &prefixes, 1).0
 }
 
 #[test]

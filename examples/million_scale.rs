@@ -8,6 +8,7 @@
 use geo_model::rng::Seed;
 use ipgeo::million::{geolocate_with_selection, probe_representatives};
 use ipgeo::two_step::{geolocate as two_step, greedy_coverage};
+use ipgeo::{Resilience, TargetLog};
 use net_sim::Network;
 use world_sim::ids::HostId;
 use world_sim::{World, WorldConfig};
@@ -22,10 +23,13 @@ fn main() {
         .filter(|&p| !world.host(p).is_mis_geolocated())
         .collect();
     let target = world.host(world.anchors[3]);
+    // No fault plan: every batch takes the executor's direct path.
+    let res = Resilience::none();
+    let mut log = TargetLog::default();
     println!("target {} in {}", target.ip, world.city(target.city).name);
 
     // --- Original algorithm: all VPs probe the /24 representatives. ---
-    let probe = probe_representatives(&world, &net, &vps, target.ip, 1);
+    let probe = probe_representatives(&world, &net, &res, &vps, target.ip, 1, &mut log);
     println!(
         "representatives of {}: {:?}",
         target.ip.prefix24(),
@@ -36,7 +40,7 @@ fn main() {
             .collect::<Vec<_>>()
     );
     for k in [1usize, 3, 10] {
-        let out = geolocate_with_selection(&world, &net, &probe, target.ip, k, 1);
+        let out = geolocate_with_selection(&world, &net, &res, &probe, target.ip, k, 1, &mut log);
         let err = out
             .cbg
             .as_ref()
@@ -53,7 +57,7 @@ fn main() {
     let full_overhead = vps.len() as u64 * 3;
     for s in [10usize, 30, 60] {
         let coverage = greedy_coverage(&world, &vps, s);
-        let out = two_step(&world, &net, &coverage, &vps, target.ip, 2);
+        let out = two_step(&world, &net, &res, &coverage, &vps, target.ip, 2, &mut log);
         let err = out
             .cbg
             .as_ref()

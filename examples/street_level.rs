@@ -8,6 +8,7 @@
 
 use geo_model::rng::Seed;
 use ipgeo::street::{geolocate, StreetConfig};
+use ipgeo::{Resilience, TargetLog};
 use net_sim::Network;
 use web_sim::ecosystem::{WebConfig, WebEcosystem};
 use world_sim::{World, WorldConfig};
@@ -35,10 +36,12 @@ fn main() {
         &world,
         &net,
         &eco,
+        &Resilience::none(),
         &vps,
         target,
         &StreetConfig::default(),
         0,
+        &mut TargetLog::default(),
     );
 
     if let Some(t1) = &out.tier1 {
