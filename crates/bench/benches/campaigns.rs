@@ -26,18 +26,14 @@ fn build_dataset(scale: EvalScale, threads: &str) -> Dataset {
     d
 }
 
-/// One probe→anchor min-of-3 ping sweep: every base delay in the sweep is
-/// a cache lookup after the first pass.
-fn ping_sweep(world: &World, net: &Network) -> f64 {
+/// One probe→anchor sweep of `Network::base_rtt`, the one path through
+/// the base-delay cache (`ping_min` computes base delays without it):
+/// every lookup in the sweep is a cache hit after the first pass.
+fn base_delay_sweep(world: &World, net: &Network) -> f64 {
     let mut acc = 0.0;
-    for (pi, &p) in world.probes.iter().enumerate() {
-        for (ai, &a) in world.anchors.iter().enumerate() {
-            let ip = world.host(a).ip;
-            if let net_sim::PingOutcome::Reply(rtt) =
-                net.ping_min(world, p, ip, 3, 0xCAFE ^ ((pi as u64) << 20 | ai as u64))
-            {
-                acc += rtt.value();
-            }
+    for &p in &world.probes {
+        for &a in &world.anchors {
+            acc += net.base_rtt(world, p, a).value();
         }
     }
     acc
@@ -58,11 +54,13 @@ fn bench_campaigns(c: &mut Criterion) {
     g.bench_function("base_delay/cold", |b| {
         b.iter(|| {
             net.clear_cache();
-            ping_sweep(&world, &net)
+            base_delay_sweep(&world, &net)
         });
     });
-    ping_sweep(&world, &net); // warm the cache once
-    g.bench_function("base_delay/warm", |b| b.iter(|| ping_sweep(&world, &net)));
+    base_delay_sweep(&world, &net); // warm the cache once
+    g.bench_function("base_delay/warm", |b| {
+        b.iter(|| base_delay_sweep(&world, &net));
+    });
     g.finish();
 }
 
@@ -113,12 +111,12 @@ fn write_snapshot() {
     let net = Network::new(Seed(441));
     let cold = time_median(5, || {
         net.clear_cache();
-        ping_sweep(&world, &net)
+        base_delay_sweep(&world, &net)
     });
     net.clear_cache();
-    ping_sweep(&world, &net);
+    base_delay_sweep(&world, &net);
     let stats_after_first_pass = net.cache_stats();
-    let warm = time_median(5, || ping_sweep(&world, &net));
+    let warm = time_median(5, || base_delay_sweep(&world, &net));
     let stats = net.cache_stats();
 
     let json = format!(

@@ -10,10 +10,11 @@
 //!
 //! Campaign outputs stage through [`DelayMatrix`] (`f64`, exact measured
 //! bits for the sanitizers) and land in dense [`RttMatrix`] arenas; every
-//! bulk measurement goes through `Network::ping_min_once`, which resolves
-//! the base RTT through the route cache without inserting into the
-//! base-delay cache — campaigns touch each (src, dst) pair exactly once,
-//! so a per-pair cache entry would cost memory and hashing for reads that
+//! campaign runs on `Network::campaign_row`, which measures one source
+//! against a whole target lane with per-target constants hoisted and the
+//! route synthesis shared by rows behind the same attachment PoP. No
+//! campaign stores anything per (src, dst) pair: each pair is measured
+//! once, so a per-pair entry would cost memory and hashing for reads that
 //! never come. See DESIGN.md §10 for the hot-path architecture.
 
 use geo_model::rng::Seed;
@@ -282,26 +283,54 @@ impl Dataset {
 
     /// The representative-campaign matrix: `vps x (targets *
     /// REPRESENTATIVES)`, built lazily (21.7M measurements at full scale).
-    /// Row-parallel like the eager campaigns; bit-identical at any
-    /// `IPGEO_THREADS`.
+    /// Row-parallel like the eager campaigns, on the same row engine as
+    /// the probe campaign: rows grouped by the VP's attachment PoP, then
+    /// permuted back to VP order; bit-identical at any `IPGEO_THREADS`.
     pub fn rep_rtt(&self) -> &RttMatrix {
         self.rep_rtt.get_or_init(|| {
             let k = ipgeo::million::REPRESENTATIVES;
             let cols = self.targets.len() * k;
-            RttMatrix::par_build(self.vps.len(), cols, |vi, row| {
-                let vp = self.vps[vi];
-                for (ti, reps) in self.reps.iter().enumerate() {
-                    for (ri, rep) in reps.iter().enumerate().take(k) {
-                        let out = self.net.ping_min_once(
-                            &self.world,
-                            vp,
-                            rep.ip,
-                            3,
-                            0x5E9 ^ ((ti as u64) << 8 | ri as u64),
-                        );
-                        row[ti * k + ri] = RttMatrix::cell(out.rtt());
+            // One lane column per representative that is a host; a
+            // representative address without one times out, so its cell
+            // stays NaN. `cells[c]` is lane column `c`'s matrix column.
+            let (world, net) = (&self.world, &self.net);
+            let mut hosts = Vec::with_capacity(cols);
+            let mut cells = Vec::with_capacity(cols);
+            let mut nonces = Vec::with_capacity(cols);
+            for (ti, reps) in self.reps.iter().enumerate() {
+                for (ri, rep) in reps.iter().enumerate().take(k) {
+                    if let Some(h) = world.host_by_ip(rep.ip) {
+                        hosts.push(h.id);
+                        cells.push(ti * k + ri);
+                        nonces.push(0x5E9 ^ ((ti as u64) << 8 | ri as u64));
                     }
                 }
+            }
+            let lane = net.target_lane(world, &hosts);
+            let vps = &self.vps;
+            let mut order: Vec<u32> = (0..vps.len() as u32).collect();
+            order.sort_by_key(|&v| (net.attach_group(world, vps[v as usize]), v));
+            let grouped = RttMatrix::par_build_with(vps.len(), cols, RowScratch::new, {
+                let (lane, order, cells, nonces) = (&lane, &order, &cells, &nonces);
+                move |scratch, r, row| {
+                    net.campaign_row(
+                        world,
+                        lane,
+                        scratch,
+                        vps[order[r] as usize],
+                        3,
+                        |c| nonces[c],
+                        None,
+                        |c, out| row[cells[c]] = RttMatrix::cell(out.rtt()),
+                    );
+                }
+            });
+            let mut pos = vec![0u32; order.len()];
+            for (r, &v) in order.iter().enumerate() {
+                pos[v as usize] = r as u32;
+            }
+            RttMatrix::par_build(vps.len(), cols, |vi, row| {
+                row.copy_from_slice(grouped.row(pos[vi] as usize));
             })
         })
     }
@@ -371,6 +400,25 @@ mod tests {
         // Second call returns the same allocation.
         let m2 = d.rep_rtt();
         assert_eq!(m.cols(), m2.cols());
+    }
+
+    /// Every cell of the representative campaign, pinned: FNV-1a over the
+    /// dimensions and each cell's `f32` bits (NaN timeouts included). The
+    /// constant was recorded while the campaign still pinged cell by cell,
+    /// each base RTT read through a per-pair memo.
+    #[test]
+    fn rep_matrix_matches_pinned_digest() {
+        let d = tiny();
+        let m = d.rep_rtt();
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let cells = (0..m.rows()).flat_map(|r| m.row(r).iter().map(|c| c.to_bits() as u64));
+        for v in [m.rows() as u64, m.cols() as u64].into_iter().chain(cells) {
+            for b in v.to_le_bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        assert_eq!(h, 0xc650_0887_30d9_0098, "rep_rtt digest {h:#018x}");
     }
 
     #[test]

@@ -4,8 +4,13 @@
 //!   campaign books — is bit-identical at `IPGEO_THREADS` 1 and 8;
 //! - at hint coverage 0 with `Resilience::none()`, the fused pipeline's
 //!   output is byte-identical to the no-hints baseline down to the
-//!   `.igds` snapshot.
+//!   `.igds` snapshot;
+//! - at the CLI's hint defaults, the fused output under the `none` and
+//!   `hostile` fault profiles matches digests pinned across commits, so
+//!   a change to the probe path or the CBG sampler that moves one bit
+//!   fails here, not only when two thread counts disagree.
 
+use atlas_sim::{FaultPlan, FaultProfile};
 use geo_hints::{build_dataset_fused, FusedConfig, FusedReport};
 use geo_model::ip::Prefix24;
 use geo_model::rng::Seed;
@@ -103,4 +108,55 @@ fn coverage_zero_matches_the_baseline_byte_for_byte() {
     assert_eq!(report.base, base_report);
     assert_eq!(report.hints.attempts, 0);
     assert_eq!(report.hints.credits.net(), 0);
+}
+
+/// FNV-1a over the entry bits, the `FusedReport` and the `.igds` bytes.
+fn fused_digest(entries: &[DatasetEntry], report: &FusedReport, igds: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut feed = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    for (prefix, lat, lon, evidence) in entry_bits(entries) {
+        feed(&prefix.to_le_bytes());
+        feed(&lat.to_le_bytes());
+        feed(&lon.to_le_bytes());
+        feed(&(evidence.len() as u64).to_le_bytes());
+        feed(evidence.as_bytes());
+    }
+    // `Debug` prints every counter and the shortest round-trip form of
+    // each f64, so equal text means an equal report.
+    feed(format!("{report:?}").as_bytes());
+    feed(&(igds.len() as u64).to_le_bytes());
+    feed(igds);
+    h
+}
+
+/// The fused build with the CLI's hint defaults (`--hint-coverage 0.6
+/// --hint-truthfulness 0.9`) and fault plan, pinned bit for bit. The
+/// constants were recorded before the probe path dropped its insert-once
+/// memos and before the CBG sampler took its bearing trig from a table
+/// and skipped circles that contain a whole ring.
+#[test]
+fn fused_build_matches_pinned_digests() {
+    let cfg = FusedConfig::new(0.6, 0.9);
+    let got: Vec<(FaultProfile, u64)> = [FaultProfile::None, FaultProfile::Hostile]
+        .into_iter()
+        .map(|profile| {
+            let (world, net, vps, prefixes) = setup();
+            let plan = FaultPlan::new(Seed(351), profile);
+            let res = Resilience::with_plan(&plan);
+            let (entries, report) =
+                build_dataset_fused(&world, &net, &res, &vps, &prefixes, 7, &cfg);
+            let igds = geo_serve::format::encode(&entries, 351, 7);
+            (profile, fused_digest(&entries, &report, &igds))
+        })
+        .collect();
+    let want = [
+        (FaultProfile::None, 0x7af4_e12d_2a6a_612b),
+        (FaultProfile::Hostile, 0x8c2c_ecfb_ee85_ba18),
+    ];
+    assert_eq!(got, want, "got {got:#018x?}");
 }

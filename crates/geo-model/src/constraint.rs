@@ -18,6 +18,7 @@
 
 use crate::point::{GeoPoint, PointTrig};
 use crate::units::Km;
+use std::sync::OnceLock;
 
 /// A single geographic constraint: the target lies within `radius` of
 /// `center`.
@@ -76,6 +77,48 @@ const BASE_RINGS: usize = 24;
 /// Number of refinement passes before declaring the region empty.
 const MAX_REFINES: usize = 3;
 
+/// Slack between a ring's reach and a circle's radius below which the
+/// sampler still tests the circle exactly on that ring.
+///
+/// A sample on the ring of radius `ρ` around the tightest center lies,
+/// by the triangle inequality, within `d + ρ` of a circle whose center is
+/// `d` from the tightest center. The computed distances and sample points
+/// stray from the true ones by well under a metre: the worst cases are
+/// `asin` near 1, for near-antipodal pairs in the haversine and for
+/// samples near a pole in the destination formula, where a rounding error
+/// of 1e-16 grows to about 4e-4 km. So when `d + ρ + RING_MARGIN_KM` is
+/// within the circle's radius, the exact test on that ring would pass for
+/// every sample; skipping it changes no result.
+const RING_MARGIN_KM: f64 = 1.0;
+
+/// Sine and cosine of every sample bearing of the grid with `rings` rings
+/// (`BASE_RINGS << pass` for refinement pass `pass`): ring `r` holds its
+/// `6r` bearings `k * 360 / (6r)` degrees, in sample order, from offset
+/// `3r(r - 1)`. Each grid's table is built on its first use, with the
+/// sampler's own per-sample expressions, so every entry has the bits the
+/// sampler would compute; a process that never refines builds only the
+/// 1,800 entries of the base grid.
+// geo-lint: allow(P1T, reason = "each grid's table is built once per process behind a OnceLock; every later call only reads it")
+fn bearings(rings: usize) -> &'static [(f64, f64)] {
+    type Table = Box<[(f64, f64)]>;
+    static TABLES: [OnceLock<Table>; MAX_REFINES + 1] =
+        [const { OnceLock::new() }; MAX_REFINES + 1];
+    let pass = (rings / BASE_RINGS).trailing_zeros() as usize;
+    debug_assert_eq!(rings, BASE_RINGS << pass, "not a sampling grid");
+    TABLES[pass].get_or_init(|| {
+        let mut table = Vec::with_capacity(3 * rings * (rings + 1));
+        for ring in 1..=rings {
+            let samples = 6 * ring;
+            let step = 360.0 / samples as f64;
+            for k in 0..samples {
+                let theta = (k as f64 * step).to_radians();
+                table.push((theta.sin(), theta.cos()));
+            }
+        }
+        table.into_boxed_slice()
+    })
+}
+
 /// Reusable buffers for [`Region::intersect_with`].
 ///
 /// One `intersect` call makes thousands of circle-containment tests, each
@@ -94,10 +137,16 @@ pub struct RegionScratch {
     active: Vec<Circle>,
     /// Precomputed center trig, parallel to `active`.
     trig: Vec<PointTrig>,
+    /// Each active center's distance to the tightest center (km),
+    /// parallel to `active`.
+    dist: Vec<f64>,
     /// Containment-check order: indices into `active`, ascending radius.
     /// The region is a conjunction, so check order cannot change the
     /// outcome — but tight circles reject samples earliest.
     order: Vec<u32>,
+    /// The circles of `order` that may cut the ring being sampled; the
+    /// rest contain the whole ring.
+    exact: Vec<u32>,
     /// Samples inside every constraint, in sample-grid order.
     inside: Vec<GeoPoint>,
 }
@@ -215,6 +264,23 @@ impl Region {
     /// many regions should hold one [`RegionScratch`] and pass it here.
     // geo-lint: hot-path
     pub fn intersect_with(&self, scratch: &mut RegionScratch) -> Option<RegionEstimate> {
+        self.intersect_by(scratch, Region::sample_with)
+    }
+
+    /// [`Region::intersect_with`] over the per-sample oracle sampler.
+    #[cfg(test)]
+    fn intersect_oracle(&self, scratch: &mut RegionScratch) -> Option<RegionEstimate> {
+        self.intersect_by(scratch, Region::sample_oracle)
+    }
+
+    /// The active filter, feasibility check and refinement loop around a
+    /// grid sampler.
+    // geo-lint: hot-path
+    fn intersect_by(
+        &self,
+        scratch: &mut RegionScratch,
+        sample: impl Fn(&mut RegionScratch, &Circle, &PointTrig, usize) -> Option<RegionEstimate>,
+    ) -> Option<RegionEstimate> {
         let tightest = *self.tightest()?;
         let t_trig = PointTrig::of(&tightest.center);
 
@@ -222,12 +288,15 @@ impl Region {
         // computing each center's trig exactly once.
         scratch.active.clear();
         scratch.trig.clear();
+        scratch.dist.clear();
         scratch.order.clear();
         for c in &self.circles {
             let ct = PointTrig::of(&c.center);
-            if ct.distance(&t_trig) + tightest.radius >= c.radius {
+            let d = ct.distance(&t_trig);
+            if d + tightest.radius >= c.radius {
                 scratch.active.push(*c);
                 scratch.trig.push(ct);
+                scratch.dist.push(d.value());
             }
         }
 
@@ -265,7 +334,7 @@ impl Region {
 
         let mut rings = BASE_RINGS;
         for _ in 0..=MAX_REFINES {
-            if let Some(est) = Region::sample_with(scratch, &tightest, &t_trig, rings) {
+            if let Some(est) = sample(scratch, &tightest, &t_trig, rings) {
                 return Some(est);
             }
             rings *= 2;
@@ -273,8 +342,77 @@ impl Region {
         None
     }
 
+    /// Samples the polar grid of `rings` rings over the tightest circle:
+    /// the center, then ring by ring `6 * ring` points at equal bearings.
+    /// Each ring reads its bearings' trig from the grid's table; a circle
+    /// is tested exactly only on rings it may cut (see
+    /// [`RING_MARGIN_KM`]), and a sample that no circle needs to test is
+    /// accepted without its trig. Samples, their order and the centroid
+    /// are those of the per-sample grid, bit for bit.
     // geo-lint: hot-path
     fn sample_with(
+        scratch: &mut RegionScratch,
+        tightest: &Circle,
+        center: &PointTrig,
+        rings: usize,
+    ) -> Option<RegionEstimate> {
+        let r = tightest.radius.value();
+        let ring_width = r / rings as f64;
+        scratch.inside.clear();
+        let mut total_samples = 0usize;
+
+        // Ring 0: the center itself.
+        total_samples += 1;
+        if scratch.contains(center) {
+            scratch.inside.push(tightest.center);
+        }
+
+        let table = bearings(rings);
+        for ring in 1..=rings {
+            let radius = Km(ring as f64 * ring_width);
+            scratch.exact.clear();
+            for &i in &scratch.order {
+                let i = i as usize;
+                if scratch.dist[i] + radius.value() + RING_MARGIN_KM
+                    > scratch.active[i].radius.value()
+                {
+                    scratch.exact.push(i as u32);
+                }
+            }
+            let ring_bearings = &table[3 * ring * (ring - 1)..][..6 * ring];
+            total_samples += ring_bearings.len();
+            for &(sin_b, cos_b) in ring_bearings {
+                let p = center.destination_with(sin_b, cos_b, radius);
+                let inside = scratch.exact.is_empty() || {
+                    let t = PointTrig::of(&p);
+                    scratch.exact.iter().all(|&i| {
+                        scratch.trig[i as usize].distance(&t) <= scratch.active[i as usize].radius
+                    })
+                };
+                if inside {
+                    scratch.inside.push(p);
+                }
+            }
+        }
+
+        if scratch.inside.is_empty() {
+            return None;
+        }
+        let centroid = GeoPoint::centroid(&scratch.inside)?;
+        let circle_area = std::f64::consts::PI * r * r;
+        let area_km2 = circle_area * scratch.inside.len() as f64 / total_samples as f64;
+        Some(RegionEstimate {
+            centroid,
+            area_km2,
+            tightest_radius: tightest.radius,
+        })
+    }
+
+    /// The per-sample grid sampler [`Region::sample_with`] replaced: every
+    /// sample derives its own bearing and arc trig and is tested against
+    /// every active circle. The oracle of the bit-for-bit property tests.
+    #[cfg(test)]
+    fn sample_oracle(
         scratch: &mut RegionScratch,
         tightest: &Circle,
         center: &PointTrig,
@@ -330,9 +468,173 @@ impl Region {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::point::MAX_DISTANCE_KM;
+    use proptest::prelude::*;
+    use proptest::TestCaseError;
 
     fn p(lat: f64, lon: f64) -> GeoPoint {
         GeoPoint::new(lat, lon)
+    }
+
+    /// The estimate's centroid and area as raw bits.
+    fn bits(est: Option<RegionEstimate>) -> Option<(u64, u64, u64, u64)> {
+        est.map(|e| {
+            (
+                e.centroid.lat().to_bits(),
+                e.centroid.lon().to_bits(),
+                e.area_km2.to_bits(),
+                e.tightest_radius.value().to_bits(),
+            )
+        })
+    }
+
+    /// `intersect_with` (through a reused scratch) against the per-sample
+    /// oracle (through a fresh one), bit for bit, `None` included.
+    fn agree_with_oracle(
+        region: &Region,
+        scratch: &mut RegionScratch,
+    ) -> Result<(), TestCaseError> {
+        let want = bits(region.intersect_oracle(&mut RegionScratch::new()));
+        let got = bits(region.intersect_with(scratch));
+        prop_assert_eq!(got, want, "{:?}", region.circles());
+        Ok(())
+    }
+
+    /// A point within 1° of the north pole, the south pole or the
+    /// antimeridian, or anywhere, from two draws in [-1, 1].
+    fn anchor((kind, a, b): (u8, f64, f64)) -> GeoPoint {
+        match kind {
+            0 => p(90.0 - (a + 1.0) / 2.0, b * 180.0),
+            1 => p(-90.0 + (a + 1.0) / 2.0, b * 180.0),
+            2 => p(a * 80.0, 180.0 + b),
+            _ => p(a * 89.0, b * 180.0),
+        }
+    }
+
+    /// A constraint around `center` with a radius of zero (kind 0), below
+    /// the ring margin (1), above half the circumference (2), or one that
+    /// contains `target` with a little (3..=14) or a lot (15..) of slack.
+    fn circle(center: GeoPoint, target: &GeoPoint, kind: u8, u: f64) -> Circle {
+        let reach = center.distance(target).value();
+        Circle::new(
+            center,
+            Km(match kind {
+                0 => 0.0,
+                1 => u * RING_MARGIN_KM,
+                2 => MAX_DISTANCE_KM * (1.0 + u),
+                3..=14 => reach * (1.0 + 0.05 * u) + 0.5,
+                _ => reach * (1.0 + u) + 50.0,
+            }),
+        )
+    }
+
+    /// A region of CBG-like constraints around a target within 1° of a
+    /// pole, the antimeridian or anywhere: circle 0 sits within 1° of the
+    /// target; each further circle sits within 1° of the target or of its
+    /// antipode, up to 3,000 km away, or just outside circle 0 with a
+    /// radius that leaves a lens a few percent of the smaller radius wide
+    /// (nearly tangent: the base grid often misses it, so refinement
+    /// runs).
+    fn region_of(
+        first: (u8, f64, f64),
+        c0: (f64, f64, u8, f64),
+        rest: Vec<(u8, f64, f64, u8, f64)>,
+    ) -> Region {
+        let target = anchor(first);
+        let c0 = circle(
+            p(target.lat() + c0.0, target.lon() + c0.1),
+            &target,
+            c0.2,
+            c0.3,
+        );
+        let mut circles = vec![c0];
+        for (place, a, b, kind, u) in rest {
+            circles.push(match place {
+                0 | 1 => circle(p(target.lat() + a, target.lon() + b), &target, kind, u),
+                2 => circle(
+                    p(a - target.lat(), target.lon() + 180.0 + b),
+                    &target,
+                    kind,
+                    u,
+                ),
+                3..=5 => circle(
+                    target.destination((a + 1.0) * 180.0, Km(10.0 + u * 3000.0)),
+                    &target,
+                    kind,
+                    (b + 1.0) / 2.0,
+                ),
+                _ => {
+                    let r = 1.0 + u * 2000.0;
+                    let r0 = c0.radius.value();
+                    let lens = (b + 1.0) / 2.0 * 0.05 * r.min(r0);
+                    Circle::new(
+                        c0.center.destination((a + 1.0) * 180.0, Km(r0 + r - lens)),
+                        Km(r),
+                    )
+                }
+            });
+        }
+        Region::from_circles(circles)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The ring-by-ring sampler against the per-sample oracle over
+        /// regions near the poles and the antimeridian, with near-antipodal
+        /// pairs, radii of 0, below the margin and above half the
+        /// circumference, and nearly tangent pairs.
+        #[test]
+        fn sampler_matches_per_sample_oracle(
+            first in (0u8..4, -1.0f64..=1.0, -1.0f64..=1.0),
+            c0 in (-1.0f64..=1.0, -1.0f64..=1.0, 0u8..24, 0.0f64..=1.0),
+            rest in prop::collection::vec(
+                (0u8..7, -1.0f64..=1.0, -1.0f64..=1.0, 0u8..24, 0.0f64..=1.0),
+                0..5,
+            ),
+        ) {
+            let region = region_of(first, c0, rest);
+            agree_with_oracle(&region, &mut RegionScratch::new())?;
+        }
+    }
+
+    #[test]
+    fn sampler_matches_oracle_at_fixed_edge_cases() {
+        let north = p(90.0, 0.0);
+        let a = p(0.0, 179.9);
+        let regions = [
+            // Centered exactly on a pole.
+            Region::from_circles(vec![Circle::new(north, Km(300.0))]),
+            // A pole cap cut by a circle across the antimeridian.
+            Region::from_circles(vec![
+                Circle::new(p(89.5, 179.5), Km(400.0)),
+                Circle::new(p(86.0, -179.0), Km(250.0)),
+            ]),
+            // Exactly antipodal centers whose radii just reach each other.
+            Region::from_circles(vec![
+                Circle::new(a, Km(MAX_DISTANCE_KM / 2.0 + 5.0)),
+                Circle::new(p(0.0, -0.1), Km(MAX_DISTANCE_KM / 2.0 + 5.0)),
+            ]),
+            // Tightest circle reaching past the antipode of its center.
+            Region::from_circles(vec![
+                Circle::new(a, Km(MAX_DISTANCE_KM * 1.5)),
+                Circle::new(p(10.0, 10.0), Km(MAX_DISTANCE_KM * 1.6)),
+            ]),
+            // A tightest radius below the margin, inside a wide circle.
+            Region::from_circles(vec![
+                Circle::new(a, Km(0.4)),
+                Circle::new(a.destination(30.0, Km(0.3)), Km(0.5)),
+            ]),
+            // The thin lens of `refinement_finds_thin_lens`.
+            Region::from_circles(vec![
+                Circle::new(p(0.0, 0.0), Km(500.0)),
+                Circle::new(p(0.0, 0.0).destination(90.0, Km(999.0)), Km(500.0)),
+            ]),
+        ];
+        let mut scratch = RegionScratch::new();
+        for region in &regions {
+            agree_with_oracle(region, &mut scratch).unwrap();
+        }
     }
 
     #[test]

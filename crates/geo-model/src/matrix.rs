@@ -137,6 +137,20 @@ impl RttMatrix {
         }
     }
 
+    /// [`RttMatrix::par_build`] with per-worker scratch state, as
+    /// [`DelayMatrix::par_build_with`].
+    pub fn par_build_with<S, M, F>(rows: usize, cols: usize, mk: M, fill: F) -> RttMatrix
+    where
+        M: Fn() -> S + Sync,
+        F: Fn(&mut S, usize, &mut [f32]) + Sync,
+    {
+        RttMatrix {
+            rows,
+            cols,
+            data: par_fill_rows_with(rows, cols, f32::NAN, mk, fill),
+        }
+    }
+
     /// Encodes one measurement as a cell (`NaN` = timeout).
     #[inline]
     pub fn cell(v: Option<Ms>) -> f32 {

@@ -191,13 +191,23 @@ impl PointTrig {
     /// precomputed (the per-call trig is only the bearing and arc length).
     // geo-lint: hot-path
     pub fn destination(&self, bearing_deg: f64, distance: Km) -> GeoPoint {
-        let delta = distance.value() / EARTH_RADIUS_KM;
         let theta = bearing_deg.to_radians();
-        let lat2 = (self.sin_lat * delta.cos() + self.cos_lat * delta.sin() * theta.cos())
+        self.destination_with(theta.sin(), theta.cos(), distance)
+    }
+
+    /// [`PointTrig::destination`], bit-identical, with the bearing given
+    /// by its sine and cosine, so a fixed set of bearings can come from a
+    /// table. The arc's trig depends only on `distance`: a loop over one
+    /// ring's bearings computes it once (the compiler hoists it).
+    // geo-lint: hot-path
+    #[inline]
+    pub fn destination_with(&self, sin_bearing: f64, cos_bearing: f64, distance: Km) -> GeoPoint {
+        let delta = distance.value() / EARTH_RADIUS_KM;
+        let lat2 = (self.sin_lat * delta.cos() + self.cos_lat * delta.sin() * cos_bearing)
             .clamp(-1.0, 1.0)
             .asin();
         let lon2 = self.lon
-            + (theta.sin() * delta.sin() * self.cos_lat)
+            + (sin_bearing * delta.sin() * self.cos_lat)
                 .atan2(delta.cos() - self.sin_lat * lat2.sin());
         GeoPoint::new(lat2.to_degrees(), lon2.to_degrees())
     }

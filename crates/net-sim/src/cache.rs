@@ -2,21 +2,22 @@
 //!
 //! [`measure::base_rtt`](crate::measure::base_rtt) synthesizes the forward
 //! and reverse router-level paths and sums their one-way delays — the
-//! expensive, deterministic, "bulk-cacheable" part of every ping. The bulk
-//! campaigns hammer the same endpoint pairs repeatedly (the representative
-//! campaign pings each pair three times per nonce; Figure 2's random
-//! subsets re-read the same probe→anchor pairs across 100 trials), so
-//! [`BaseDelayCache`] memoizes the value per unordered endpoint pair.
+//! deterministic part of every ping. [`BaseDelayCache`] memoizes the value
+//! per unordered endpoint pair behind `Network::base_rtt`, which
+//! `Network::ping` and the traceroute's destination ping read. Bulk
+//! traffic does not come here: `Network::ping_min` and campaign rows
+//! compute the same bits from the route cache's per-host and per-PoP
+//! lanes, because they almost never measure a pair twice (1.4% of the
+//! pings in a publish build of the paper world repeat a host pair).
 //!
 //! Design notes:
 //!
 //! - **Unordered key.** `base_rtt(a, b) == base_rtt(b, a)` by construction
 //!   (it is the sum of both directions), so keys are normalized to
-//!   `(min, max)` and the meshed anchor campaign's `i→j` and `j→i`
-//!   measurements share one entry.
+//!   `(min, max)` and `a→b` and `b→a` share one entry.
 //! - **Sharding.** The map is split across [`SHARDS`] `RwLock`ed shards
-//!   indexed by a hash of the pair, so parallel campaign workers contend
-//!   only on insert and almost never on the read path (read-mostly after
+//!   indexed by a hash of the pair, so parallel workers contend only on
+//!   insert and almost never on the read path (read-mostly after
 //!   warm-up).
 //! - **Determinism.** The cached value is a pure function of the key; if
 //!   two threads race on a miss they compute and store identical values,

@@ -15,12 +15,15 @@
 //! - the **shape** of a path and all its middle (PoP-to-PoP) link delays
 //!   depend only on the two endpoints' attachment PoPs `(asn, city)` —
 //!   one short addend sequence per attach pair, shared by every host pair
-//!   behind the same attachments;
+//!   behind the same attachments (a campaign row computes it once per
+//!   column in its [`RowScratch`]; a single ping recomputes it, which is
+//!   cheaper than a per-pair memo that bulk traffic almost never reads
+//!   back);
 //! - the topology tests the shape is decided by (`has_pop`, `nearest_pop`,
 //!   the `best_shared_pop` scan) hit tiny key spaces — dense lanes beat
 //!   hash tables.
 //!
-//! [`RouteCache`] memoizes exactly those pieces and replays the delay sum
+//! [`RouteCache`] holds exactly those pieces and replays the delay sum
 //! in the *same addition order* as `delay::one_way_delay`, so every f64 is
 //! bit-identical to the unmemoized reference (f64 addition is not
 //! associative, so caching whole sums per pair would entangle the per-host
@@ -92,9 +95,6 @@ impl Hasher for MixHasher {
 }
 
 type MixMap<K, V> = HashMap<K, V, BuildHasherDefault<MixHasher>>;
-
-/// Number of shards for the attach-pair memo (power of two).
-const PAIR_SHARDS: usize = 64;
 
 /// A path's waypoint list on the stack: `route::synthesize` never emits
 /// more than four waypoints, so the shape of a route needs no allocation.
@@ -201,20 +201,13 @@ impl WpInfo {
 }
 
 /// The middle-link addends of one attach-pair direction: `route::synthesize`
-/// emits at most four waypoints, so at most three PoP-to-PoP links.
+/// emits at most four waypoints, so at most three PoP-to-PoP links. Hop
+/// processing is a parameter constant, so only the link delays are
+/// stored; the fold re-interleaves them in the reference order.
 #[derive(Debug, Clone, Copy)]
 struct DirSeq {
     mids: [f64; 3],
     len: u8,
-}
-
-/// Both directions of an unordered attach pair: `fwd` is low→high attach
-/// index. Hop processing is a parameter constant, so only the link delays
-/// are stored; the fold re-interleaves them in the reference order.
-#[derive(Debug, Clone, Copy)]
-struct PairSeq {
-    fwd: DirSeq,
-    rev: DirSeq,
 }
 
 /// Dense per-world lookup lanes, built once on first use. All tables key
@@ -341,7 +334,9 @@ impl WorldLane {
 ///
 /// All tables are lazily filled and shared across clones of a [`Network`]
 /// (`crate::Network`); racing fills recompute identical values, so the
-/// cache can never perturb a measurement.
+/// cache can never perturb a measurement. Every table is per host, per
+/// PoP or per AS: nothing grows with the number of host or attach pairs
+/// measured.
 #[derive(Debug)]
 pub struct RouteCache {
     /// Per-host first/last-link delay bits, indexed by `HostId`; zero means
@@ -356,8 +351,6 @@ pub struct RouteCache {
     /// Waypoint constants for non-PoP waypoints (hosts attached where
     /// their AS has no registered PoP; rare).
     virt: RwLock<MixMap<u64, WpInfo>>,
-    /// Middle-link addend sequences per unordered host attach pair.
-    pairs: Vec<RwLock<MixMap<u64, PairSeq>>>,
 }
 
 impl RouteCache {
@@ -371,9 +364,6 @@ impl RouteCache {
             router_self_ms: delay::link_delay(params, &origin, &origin, 0).value(),
             lane: OnceLock::new(),
             virt: RwLock::new(MixMap::default()),
-            pairs: (0..PAIR_SHARDS)
-                .map(|_| RwLock::new(MixMap::default()))
-                .collect(),
         }
     }
 
@@ -625,10 +615,13 @@ impl RouteCache {
     }
 
     /// Base (jitter-free) RTT between two hosts: forward plus reverse
-    /// one-way delay, identical bits to `measure::base_rtt`. The middle
-    /// addends of both directions are memoized per unordered attach pair;
-    /// only the two per-host access constants and the fold differ between
-    /// host pairs behind the same attachments.
+    /// one-way delay, identical bits to `measure::base_rtt`. Both
+    /// directions' middle addends are computed straight from the attach
+    /// pair, as [`RouteCache::base_row`] computes them per column, and
+    /// folded around the two per-host access constants. Nothing is stored
+    /// per pair: 1.4% of the pings in a publish build of the paper world
+    /// repeat a host pair, so a memo costs more in inserts and memory than
+    /// the recomputation it saves.
     // geo-lint: hot-path
     pub fn base_rtt_ms(&self, world: &World, params: &NetParams, src: HostId, dst: HostId) -> f64 {
         let lane = self.lane(world);
@@ -653,48 +646,13 @@ impl RouteCache {
                 &rev,
             );
         };
-        let seq = self.pair_seq(world, params, lane, ai, bi);
-        let (f, r) = if ai <= bi {
-            (&seq.fwd, &seq.rev)
-        } else {
-            (&seq.rev, &seq.fwd)
-        };
+        let a = lane.attaches[ai as usize];
+        let b = lane.attaches[bi as usize];
+        let f = self.dir_seq(world, params, lane, a, b);
+        let r = self.dir_seq(world, params, lane, b, a);
         let sa = self.access_ms(world, params, src);
         let sb = self.access_ms(world, params, dst);
-        self.fold(params, sa, f, sb) + self.fold(params, sb, r, sa)
-    }
-
-    /// The memoized middle addends of the unordered attach pair
-    /// `(ai, bi)`: `fwd` is always the low→high direction.
-    // geo-lint: hot-path
-    fn pair_seq(
-        &self,
-        world: &World,
-        params: &NetParams,
-        lane: &WorldLane,
-        ai: u32,
-        bi: u32,
-    ) -> PairSeq {
-        let (lo, hi) = if ai <= bi { (ai, bi) } else { (bi, ai) };
-        let key = (lo as u64) << 32 | hi as u64;
-        let shard = &self.pairs[(splitmix64(key) >> 58) as usize & (PAIR_SHARDS - 1)];
-        let seq = {
-            let memo = shard.read().expect("pair shard poisoned");
-            memo.get(&key).copied()
-        };
-        match seq {
-            Some(s) => s,
-            None => {
-                let a = lane.attaches[lo as usize];
-                let b = lane.attaches[hi as usize];
-                let s = PairSeq {
-                    fwd: self.dir_seq(world, params, lane, a, b),
-                    rev: self.dir_seq(world, params, lane, b, a),
-                };
-                shard.write().expect("pair shard poisoned").insert(key, s);
-                s
-            }
-        }
+        self.fold(params, sa, &f, sb) + self.fold(params, sb, &r, sa)
     }
 
     /// Cumulative delays to each waypoint (traceroute hop timing),
@@ -725,7 +683,7 @@ impl RouteCache {
     }
 }
 
-/// Per-target constants for a bulk campaign: everything `ping_min_once`
+/// Per-target constants for a bulk campaign: everything `ping_min`
 /// re-derives per call (`host_by_ip`, last-mile profile, access delay,
 /// attach index) resolved once per target column.
 #[derive(Debug)]
@@ -760,7 +718,7 @@ struct TargetCol {
 /// Reusable per-worker scratch for [`RouteCache::base_row`]: the oriented
 /// middle-addend sequences of one source attach against every target
 /// column. Rows from sources behind the same attach reuse the filled
-/// scratch, so grouping rows by attach amortizes the pair-memo lookups.
+/// scratch, so grouping rows by attach amortizes the route synthesis.
 ///
 /// A scratch is only meaningful against the [`TargetLane`] it was last
 /// filled for; use a fresh scratch per campaign.
@@ -817,13 +775,11 @@ impl RouteCache {
     /// (Re)fills `scratch` with the oriented pair sequences of attach `ai`
     /// against every target column.
     ///
-    /// Computes each [`DirSeq`] directly instead of going through the
-    /// sharded pair memo: a campaign visits each (source attach, target
-    /// attach) pair only a handful of times, and the scratch itself
-    /// provides that reuse, so the memo's hundreds of megabytes of
-    /// insert-once entries would cost far more in DRAM traffic than they
-    /// save. `dir_seq` is a pure function of the attach pair, so the
-    /// addends are bit-identical to what the memo would return.
+    /// A campaign visits each (source attach, target attach) pair only a
+    /// handful of times, and the scratch itself provides that reuse; a
+    /// per-pair memo's insert-once entries would cost far more in DRAM
+    /// traffic than they save. `dir_seq` is a pure function of the attach
+    /// pair, so every row sees the same addends.
     fn fill_scratch(
         &self,
         world: &World,
@@ -859,9 +815,8 @@ impl RouteCache {
     /// skipping `skip` (a self-measurement diagonal).
     ///
     /// The fold per cell reads the scratch sequentially (L2-resident for
-    /// campaign-sized target lists) instead of probing the sharded pair
-    /// memo per call; sources behind the attach the scratch is already
-    /// filled for skip the memo entirely.
+    /// campaign-sized target lists); sources behind the attach the scratch
+    /// is already filled for skip route synthesis entirely.
     // geo-lint: hot-path
     #[allow(clippy::too_many_arguments)]
     pub fn base_row(

@@ -95,8 +95,10 @@ impl Network {
 
     /// The deterministic (jitter-free, last-mile-free) round-trip time
     /// between two hosts: forward one-way plus reverse one-way delay.
-    /// Memoized per unordered endpoint pair in the shared [`BaseDelayCache`]
-    /// — this is the bulk-cacheable part of every ping.
+    /// Memoized per unordered endpoint pair in the shared
+    /// [`BaseDelayCache`]; [`Network::ping`] and the traceroute's
+    /// destination ping read it. [`Network::ping_min`] and campaign rows
+    /// compute the same bits without the cache.
     pub fn base_rtt(&self, world: &World, src: HostId, dst: HostId) -> Ms {
         Ms(self.cache.get_or_compute(src, dst, || {
             self.routes.base_rtt_ms(world, &self.params, src, dst)
@@ -140,38 +142,12 @@ impl Network {
 
     /// The minimum RTT over `count` ping packets — how latency geolocation
     /// actually measures (RIPE Atlas pings send 3 packets and keep the
-    /// minimum). The deterministic base RTT is resolved once through the
-    /// cache; only the per-packet noise is recomputed.
+    /// minimum). The deterministic base RTT is computed once, straight from
+    /// the two hosts' attachment PoPs through the route cache's per-host
+    /// and per-PoP lanes; nothing is stored per pair, because bulk
+    /// campaigns almost never measure a pair twice. Only the per-packet
+    /// noise is drawn per packet.
     pub fn ping_min(
-        &self,
-        world: &World,
-        src: HostId,
-        dst: Ipv4,
-        count: usize,
-        nonce: u64,
-    ) -> PingOutcome {
-        let Some(dst_host) = world.host_by_ip(dst) else {
-            return PingOutcome::Timeout;
-        };
-        let base = self.base_rtt(world, src, dst_host.id);
-        self.noise.ping_min(
-            self.seed,
-            src,
-            dst,
-            world.host(src).last_mile,
-            dst_host.last_mile,
-            base,
-            count,
-            nonce,
-        )
-    }
-
-    /// [`Network::ping_min`] for single-visit pairs: the base RTT is
-    /// resolved through the route cache but *not* inserted into the
-    /// base-delay cache. Bulk campaigns that touch each (src, dst) pair
-    /// exactly once (the probe campaign, the representative matrix) would
-    /// otherwise pay the insert and the memory for entries never read back.
-    pub fn ping_min_once(
         &self,
         world: &World,
         src: HostId,
@@ -209,11 +185,11 @@ impl Network {
         self.routes.attach_group(world, id)
     }
 
-    /// One campaign row: [`Network::ping_min_once`] from `src` to every
+    /// One campaign row: [`Network::ping_min`] from `src` to every
     /// target column, bit-identical cell by cell, with the per-call
     /// constant work (`host_by_ip`, last-mile lookup, access delays,
-    /// pair-memo probes) hoisted into the [`TargetLane`] and the
-    /// attach-keyed [`RowScratch`]. `nonce_of(col)` supplies the per-cell
+    /// route synthesis per attach pair) hoisted into the [`TargetLane`]
+    /// and the attach-keyed [`RowScratch`]. `nonce_of(col)` supplies the per-cell
     /// nonce; `skip` omits a column (the mesh diagonal).
     // geo-lint: hot-path
     #[allow(clippy::too_many_arguments)]
