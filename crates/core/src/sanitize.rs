@@ -11,8 +11,20 @@
 //!   violation remains (the paper removed 9).
 //! - Probes are then checked against the surviving (trusted) anchors and
 //!   removed on any violation (the paper removed 96).
+//!
+//! Both checks are dominated by great-circle distances between registered
+//! locations (about 7M probe-anchor pairs in the paper world). Each host's
+//! trigonometry is computed once, as a [`PointTrig`], whose `distance`
+//! replays [`GeoPoint::distance`](geo_model::point::GeoPoint::distance)
+//! bit for bit, so every comparison sees exactly the distance it would
+//! without the hoist. Probe rows are independent and are checked on the
+//! worker pool ([`par_map_indexed`]); the kept and removed lists are then
+//! split serially in input order, so the report is identical at any
+//! `IPGEO_THREADS`.
 
 use geo_model::matrix::DelayMatrix;
+use geo_model::point::PointTrig;
+use geo_model::runtime::par_map_indexed;
 use geo_model::soi::SpeedOfInternet;
 use geo_model::units::Ms;
 use world_sim::ids::HostId;
@@ -53,10 +65,9 @@ pub fn sanitize_anchors(
     let mut iterations = 0;
 
     // Precompute violation edges (symmetric union of both directions).
+    let trig = registered_trig(world, anchors);
     let violates = |i: usize, j: usize| -> bool {
-        let a = world.host(anchors[i]).registered_location;
-        let b = world.host(anchors[j]).registered_location;
-        let dist = a.distance(&b);
+        let dist = trig[i].distance(&trig[j]);
         let v_ij = mesh.get(i, j).is_some_and(|rtt| soi.violates(dist, rtt));
         let v_ji = mesh.get(j, i).is_some_and(|rtt| soi.violates(dist, rtt));
         v_ij || v_ji
@@ -119,15 +130,17 @@ pub fn sanitize_probes(
         trusted_anchors.len(),
         "one RTT column per trusted anchor"
     );
+    let anchor_trig = registered_trig(world, trusted_anchors);
+    let violated = par_map_indexed(probes.len(), |p| {
+        let probe = PointTrig::of(&world.host(probes[p]).registered_location);
+        rtts.row(p)
+            .iter()
+            .zip(&anchor_trig)
+            .any(|(&rtt, anchor)| !rtt.is_nan() && soi.violates(probe.distance(anchor), Ms(rtt)))
+    });
     let mut kept = Vec::new();
     let mut removed = Vec::new();
-    for (p, &probe) in probes.iter().enumerate() {
-        let ploc = world.host(probe).registered_location;
-        let row = rtts.row(p);
-        let violation = trusted_anchors.iter().enumerate().any(|(a, &anchor)| {
-            let aloc = world.host(anchor).registered_location;
-            !row[a].is_nan() && soi.violates(ploc.distance(&aloc), Ms(row[a]))
-        });
+    for (&probe, &violation) in probes.iter().zip(&violated) {
         if violation {
             removed.push(probe);
         } else {
@@ -139,6 +152,14 @@ pub fn sanitize_probes(
         removed,
         iterations: 1,
     }
+}
+
+/// The trigonometry of each host's registered location.
+fn registered_trig(world: &World, hosts: &[HostId]) -> Vec<PointTrig> {
+    hosts
+        .iter()
+        .map(|&h| PointTrig::of(&world.host(h).registered_location))
+        .collect()
 }
 
 #[cfg(test)]

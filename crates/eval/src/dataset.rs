@@ -421,6 +421,34 @@ mod tests {
         assert_eq!(h, 0xc650_0887_30d9_0098, "rep_rtt digest {h:#018x}");
     }
 
+    /// The whole eager build, pinned across commits: FNV-1a over the
+    /// kept and removed host ids and every cell of `rtt` and `anchor_rtt`
+    /// (`f32` bits, NaN timeouts included), each list and matrix led by
+    /// its length or dimensions. `parallel_equivalence` only compares
+    /// thread counts with each other; this catches a change that is
+    /// deterministic but wrong.
+    #[test]
+    fn dataset_matches_pinned_digest() {
+        let d = tiny();
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |v: u64| {
+            for b in v.to_le_bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        for ids in [&d.anchors, &d.vps, &d.removed_anchors, &d.removed_probes] {
+            eat(ids.len() as u64);
+            ids.iter().for_each(|id| eat(id.0 as u64));
+        }
+        for m in [&d.rtt, &d.anchor_rtt] {
+            eat(m.rows() as u64);
+            eat(m.cols() as u64);
+            (0..m.rows()).for_each(|r| m.row(r).iter().for_each(|c| eat(c.to_bits() as u64)));
+        }
+        assert_eq!(h, 0x3e19_c085_e8f1_e8d8, "dataset digest {h:#018x}");
+    }
+
     #[test]
     fn target_subsampling() {
         let mut scale = EvalScale::tiny(Seed(232));

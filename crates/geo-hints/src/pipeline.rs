@@ -274,21 +274,24 @@ fn mine_and_verify(
     if cfg.verify_vps == 0 {
         return Some(hint);
     }
-    let mut closest: Vec<HostId> = vps.to_vec();
-    closest.sort_by(|a, b| {
-        let da = world
-            .host(*a)
-            .registered_location
-            .distance(&result.estimate)
-            .value();
-        let db = world
-            .host(*b)
-            .registered_location
-            .distance(&result.estimate)
-            .value();
-        da.total_cmp(&db).then(a.0.cmp(&b.0))
-    });
-    closest.truncate(cfg.verify_vps);
+    // Each VP's distance once, then the nearest `verify_vps` by
+    // (distance, id).
+    let mut by_distance: Vec<(f64, HostId)> = vps
+        .iter()
+        .map(|&vp| {
+            let d = world
+                .host(vp)
+                .registered_location
+                .distance(&result.estimate);
+            (d.value(), vp)
+        })
+        .collect();
+    by_distance.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let closest: Vec<HostId> = by_distance
+        .iter()
+        .take(cfg.verify_vps)
+        .map(|&(_, vp)| vp)
+        .collect();
     let batch = resilient::ping_batch(
         world,
         net,

@@ -146,8 +146,6 @@ impl fmt::Display for GeoPoint {
 /// skipped.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PointTrig {
-    /// The original point (degrees).
-    point: GeoPoint,
     /// Latitude and longitude in radians.
     lat: f64,
     lon: f64,
@@ -160,18 +158,11 @@ impl PointTrig {
     pub fn of(point: &GeoPoint) -> PointTrig {
         let lat = point.lat.to_radians();
         PointTrig {
-            point: *point,
             lat,
             lon: point.lon.to_radians(),
             sin_lat: lat.sin(),
             cos_lat: lat.cos(),
         }
-    }
-
-    /// The original point.
-    #[inline]
-    pub fn point(&self) -> GeoPoint {
-        self.point
     }
 
     /// [`GeoPoint::distance`], bit-identical, with both endpoints' trig

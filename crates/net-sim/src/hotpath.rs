@@ -19,6 +19,11 @@
 //!   column in its [`RowScratch`]; a single ping recomputes it, which is
 //!   cheaper than a per-pair memo that bulk traffic almost never reads
 //!   back);
+//! - most attach pairs route through transit, and every transit link is
+//!   one of three kinds keyed far more coarsely than the pair: the uplink
+//!   (attach, transit AS), the core link (transit AS, PoP, PoP) and the
+//!   downlink (transit AS, attach). Campaign rows read them through dense
+//!   link lanes, ~72 reads per filled slot in the paper campaign;
 //! - the topology tests the shape is decided by (`has_pop`, `nearest_pop`,
 //!   the `best_shared_pop` scan) hit tiny key spaces — dense lanes beat
 //!   hash tables.
@@ -43,7 +48,7 @@ use crate::params::NetParams;
 use crate::route::{self, Endpoint, Waypoint};
 use geo_model::distr::{LogNormal, Sample};
 use geo_model::ip::Ipv4;
-use geo_model::point::EARTH_RADIUS_KM;
+use geo_model::point::PointTrig;
 use geo_model::rng::{fnv1a, splitmix64, KeyRng, Seed};
 use geo_model::units::Ms;
 use std::collections::HashMap;
@@ -149,37 +154,26 @@ fn pack(asn: AsId, city: CityId) -> u64 {
     (asn.0 as u64) << 32 | city.0 as u64
 }
 
-/// Precomputed trigonometry for a point, replaying `GeoPoint::distance`
-/// bit-for-bit (`to_radians` and `cos` are deterministic, so hoisting them
-/// changes nothing).
-#[derive(Debug, Clone, Copy)]
-struct PointTrig {
-    lat_rad: f64,
-    lon_rad: f64,
-    cos_lat: f64,
+/// A lane of `n` zeroed slots (zero = not yet computed).
+// geo-lint: allow(P1T, reason = "lazy lane allocation behind OnceLock, once per lane or row; later calls only read the memo")
+fn zeroed<T: Default>(n: usize) -> Box<[T]> {
+    std::iter::repeat_with(T::default).take(n).collect()
 }
 
-impl PointTrig {
-    fn of(p: &geo_model::point::GeoPoint) -> PointTrig {
-        let lat_rad = p.lat().to_radians();
-        PointTrig {
-            lat_rad,
-            lon_rad: p.lon().to_radians(),
-            cos_lat: lat_rad.cos(),
-        }
-    }
-}
-
-/// Haversine between two precomputed points; the exact expression
-/// sequence of `GeoPoint::distance`, minus the re-derived trig.
+/// Reads a memoized delay, computing and storing it on first use. Zero
+/// bits mean "not yet computed"; a delay whose bits are zero is simply
+/// recomputed every time. Racing fills store identical bits, and a slot
+/// publishes nothing but its own bits, so `Relaxed` suffices.
 // geo-lint: hot-path
 #[inline]
-fn distance_km(a: &PointTrig, b: &PointTrig) -> f64 {
-    let dlat = b.lat_rad - a.lat_rad;
-    let dlon = b.lon_rad - a.lon_rad;
-    let h = (dlat / 2.0).sin().powi(2) + a.cos_lat * b.cos_lat * (dlon / 2.0).sin().powi(2);
-    let c = 2.0 * h.sqrt().clamp(0.0, 1.0).asin();
-    EARTH_RADIUS_KM * c
+fn memo(slot: &AtomicU64, compute: impl FnOnce() -> f64) -> f64 {
+    let bits = slot.load(Ordering::Relaxed);
+    if bits != 0 {
+        return f64::from_bits(bits);
+    }
+    let v = compute();
+    slot.store(v.to_bits(), Ordering::Relaxed);
+    v
 }
 
 /// Router-waypoint constants: the symmetric link-key tag and the
@@ -210,6 +204,29 @@ struct DirSeq {
     len: u8,
 }
 
+impl DirSeq {
+    const EMPTY: DirSeq = DirSeq {
+        mids: [0.0; 3],
+        len: 0,
+    };
+
+    #[inline]
+    fn push(&mut self, ms: f64) {
+        self.mids[self.len as usize] = ms;
+        self.len += 1;
+    }
+}
+
+/// The branch `route::synthesize` takes between two attachment PoPs.
+enum Plan {
+    /// Every waypoint, for the intra-AS and peering branches.
+    Shape(PathShape),
+    /// The transit branch through `asn`, entered at the PoP nearest the
+    /// source (CSR position `p_in` in the AS's slice) and left at the
+    /// PoP nearest the destination (`p_out`).
+    Transit { asn: AsId, p_in: u32, p_out: u32 },
+}
+
 /// Dense per-world lookup lanes, built once on first use. All tables key
 /// on world entity ids: one `Network` must not be reused across
 /// differently-generated worlds.
@@ -231,15 +248,29 @@ struct WorldLane {
     pop_city: Vec<u32>,
     /// Waypoint constants, parallel to `pop_city`.
     wp: Vec<WpInfo>,
-    /// `World::nearest_pop` results: one lazily-allocated row per AS
-    /// (`city.0 + 1`, zero = not yet computed). Only transit-path ASes are
-    /// ever queried, so almost no rows materialize. Racing fills recompute
-    /// identical values.
+    /// `World::nearest_pop` results as CSR positions in the AS's slice:
+    /// one lazily-allocated row per AS (`pos + 1`, zero = not yet
+    /// computed). Only transit-path ASes are ever queried, so almost no
+    /// rows materialize. Racing fills recompute identical values.
     nearest: Vec<OnceLock<Box<[AtomicU32]>>>,
     /// Each host's attach index (into `attaches`).
     host_attach: Vec<u32>,
     /// Distinct host attachment PoPs.
     attaches: Vec<(AsId, CityId)>,
+    /// Each AS's position among the transit ASes (`u32::MAX` for an AS
+    /// no other AS buys transit from).
+    transit_pos: Vec<u32>,
+    /// Transit-branch access-link delay bits, one lazily-allocated row
+    /// per attach `i`: slot `2k` is the uplink from attach `i` to
+    /// `(T_k, nearest_pop(T_k, city_i))`, slot `2k + 1` the downlink
+    /// from that PoP back to attach `i`.
+    links: Vec<OnceLock<Box<[AtomicU64]>>>,
+    /// Where each transit AS's rows start in `core`: `core_off[k] + p`.
+    core_off: Vec<u32>,
+    /// Transit core-link delay bits, one lazily-allocated row per transit
+    /// PoP: row `core_off[k] + p`, slot `q` is the link between the PoPs
+    /// at CSR positions `p` and `q` of transit AS `T_k`.
+    core: Vec<OnceLock<Box<[AtomicU64]>>>,
 }
 
 impl WorldLane {
@@ -283,6 +314,21 @@ impl WorldLane {
                 })
             })
             .collect();
+        // Every AS `route::pick_transit` can return: some AS's provider
+        // (the transit pool; a pool member is its own provider).
+        let mut transits: Vec<AsId> = world
+            .ases
+            .iter()
+            .flat_map(|a| world.providers(a.id))
+            .collect();
+        transits.sort_unstable();
+        transits.dedup();
+        let mut transit_pos = vec![u32::MAX; n_as];
+        let mut core_off = vec![0u32];
+        for (k, t) in transits.iter().enumerate() {
+            transit_pos[t.index()] = k as u32;
+            core_off.push(core_off[k] + pop_off[t.index() + 1] - pop_off[t.index()]);
+        }
         WorldLane {
             n_cities,
             city_trig,
@@ -290,8 +336,14 @@ impl WorldLane {
             pop_off,
             pop_city,
             nearest: (0..n_as).map(|_| OnceLock::new()).collect(),
+            links: (0..attaches.len()).map(|_| OnceLock::new()).collect(),
+            core: (0..core_off[transits.len()])
+                .map(|_| OnceLock::new())
+                .collect(),
             host_attach,
             attaches,
+            transit_pos,
+            core_off,
             wp,
         }
     }
@@ -303,30 +355,55 @@ impl WorldLane {
         self.pop_bits[k / 64] >> (k % 64) & 1 == 1
     }
 
+    /// An AS's PoP cities (its CSR slice).
+    #[inline]
+    fn pops(&self, asn: AsId) -> &[u32] {
+        &self.pop_city[self.pop_off[asn.index()] as usize..self.pop_off[asn.index() + 1] as usize]
+    }
+
+    /// The PoP at CSR position `pos` of an AS's slice.
+    #[inline]
+    fn pop_at(&self, asn: AsId, pos: u32) -> CityId {
+        CityId(self.pops(asn)[pos as usize])
+    }
+
     /// The nearest-PoP memo row for an AS, allocated on the AS's first
     /// query (cold path: a handful of transit ASes per world).
     fn nearest_row(&self, asn: AsId) -> &[AtomicU32] {
-        self.nearest[asn.index()].get_or_init(|| {
-            (0..self.n_cities)
-                .map(|_| AtomicU32::new(0))
-                .collect::<Vec<_>>()
-                .into_boxed_slice()
-        })
+        self.nearest[asn.index()].get_or_init(|| zeroed(self.n_cities))
     }
 
     /// Memoized `World::nearest_pop` (a dot-product scan over the AS's
-    /// footprint — transit ASes have hundreds of PoPs).
+    /// footprint — transit ASes have hundreds of PoPs), as a CSR position
+    /// in the AS's slice.
     // geo-lint: hot-path
     #[inline]
-    fn nearest_pop(&self, world: &World, asn: AsId, city: CityId) -> CityId {
+    fn nearest_pos(&self, world: &World, asn: AsId, city: CityId) -> u32 {
         let slot = &self.nearest_row(asn)[city.index()];
         let v = slot.load(Ordering::Relaxed);
         if v != 0 {
-            return CityId(v - 1);
+            return v - 1;
         }
         let c = world.nearest_pop(asn, city);
-        slot.store(c.0 + 1, Ordering::Relaxed);
-        c
+        let pos = self
+            .pops(asn)
+            .binary_search(&c.0)
+            .expect("nearest_pop returns one of the AS's PoPs") as u32;
+        slot.store(pos + 1, Ordering::Relaxed);
+        pos
+    }
+
+    /// The transit access-link row of an attach, allocated on its first
+    /// transit path.
+    fn link_row(&self, attach: u32) -> &[AtomicU64] {
+        self.links[attach as usize].get_or_init(|| zeroed(2 * (self.core_off.len() - 1)))
+    }
+
+    /// The core-link row of transit AS `k`'s PoP at position `p`,
+    /// allocated on the first path entering the AS there.
+    fn core_row(&self, k: u32, p: u32) -> &[AtomicU64] {
+        let (s, e) = (self.core_off[k as usize], self.core_off[k as usize + 1]);
+        self.core[(s + p) as usize].get_or_init(|| zeroed((e - s) as usize))
     }
 }
 
@@ -335,14 +412,14 @@ impl WorldLane {
 /// All tables are lazily filled and shared across clones of a [`Network`]
 /// (`crate::Network`); racing fills recompute identical values, so the
 /// cache can never perturb a measurement. Every table is per host, per
-/// PoP or per AS: nothing grows with the number of host or attach pairs
-/// measured.
+/// PoP, per AS or per (attach, transit AS): nothing grows with the number
+/// of host or attach pairs measured.
 #[derive(Debug)]
 pub struct RouteCache {
     /// Per-host first/last-link delay bits, indexed by `HostId`; zero means
     /// "not yet computed" (real access links are strictly positive — the
     /// metro detour alone guarantees it for co-located endpoints).
-    access: OnceLock<Vec<AtomicU64>>,
+    access: OnceLock<Box<[AtomicU64]>>,
     /// Delay of a router's zero-length link to its own PoP: distance zero,
     /// so exactly the metro detour. Heads every `Endpoint::Router` path.
     router_self_ms: f64,
@@ -371,10 +448,8 @@ impl RouteCache {
         self.lane.get_or_init(|| WorldLane::build(world))
     }
 
-    // geo-lint: allow(P1T, reason = "one-time lazy allocation behind OnceLock; later calls only read the memo")
     fn access_lane(&self, world: &World) -> &[AtomicU64] {
-        self.access
-            .get_or_init(|| (0..world.hosts.len()).map(|_| AtomicU64::new(0)).collect())
+        self.access.get_or_init(|| zeroed(world.hosts.len()))
     }
 
     /// The delay of a host's access link (host to its attachment PoP) —
@@ -385,15 +460,7 @@ impl RouteCache {
     fn access_ms(&self, world: &World, params: &NetParams, id: HostId) -> f64 {
         let lane = self.access_lane(world);
         match lane.get(id.index()) {
-            Some(slot) => {
-                let bits = slot.load(Ordering::Relaxed);
-                if bits != 0 {
-                    return f64::from_bits(bits);
-                }
-                let v = compute_access_ms(world, params, id);
-                slot.store(v.to_bits(), Ordering::Relaxed);
-                v
-            }
+            Some(slot) => memo(slot, || compute_access_ms(world, params, id)),
             // Host added after the lane was sized (a later `add_web_server`):
             // stay correct, just unmemoized.
             None => compute_access_ms(world, params, id),
@@ -436,7 +503,7 @@ impl RouteCache {
         let wa = self.wp_info(world, lane, a.0, a.1);
         let wb = self.wp_info(world, lane, b.0, b.1);
         let key = delay::link_key(wa.tag, wb.tag);
-        let dist = distance_km(&wa.trig, &wb.trig);
+        let dist = wa.trig.distance(&wb.trig).value();
         // `delay::inflation`, inlined with the compile-time domain hash.
         let h = splitmix64(key ^ H_CABLE);
         let u = (h >> 11) as f64 / (1u64 << 53) as f64;
@@ -489,7 +556,7 @@ impl RouteCache {
                 continue;
             }
             let t = &lane.city_trig[c.index()];
-            let detour = distance_km(src_t, t) + distance_km(t, dst_t);
+            let detour = src_t.distance(t).value() + t.distance(dst_t).value();
             if best.is_none_or(|(_, d)| detour < d) {
                 best = Some((c, detour));
             }
@@ -497,17 +564,17 @@ impl RouteCache {
         best.map(|(c, _)| c)
     }
 
-    /// The waypoint list `route::synthesize` would emit between two
-    /// attachment PoPs.
+    /// The branch `route::synthesize` takes between two attachment PoPs,
+    /// with the waypoints of every branch but transit.
     // geo-lint: hot-path
-    fn shape_of(
+    fn plan(
         &self,
         world: &World,
         params: &NetParams,
         lane: &WorldLane,
         (src_as, src_city): (AsId, CityId),
         (dst_as, dst_city): (AsId, CityId),
-    ) -> PathShape {
+    ) -> Plan {
         let mut s = PathShape::new();
         s.push(src_as, src_city);
         if src_as == dst_as {
@@ -525,16 +592,40 @@ impl RouteCache {
             s.push(dst_as, meet);
             s.push(dst_as, dst_city);
         } else {
-            let transit = route::pick_transit(world, params, src_as, dst_as);
-            let t_in = lane.nearest_pop(world, transit, src_city);
-            let t_out = lane.nearest_pop(world, transit, dst_city);
-            s.push(transit, t_in);
-            if t_out != t_in {
-                s.push(transit, t_out);
-            }
-            s.push(dst_as, dst_city);
+            let asn = route::pick_transit(world, params, src_as, dst_as);
+            return Plan::Transit {
+                asn,
+                p_in: lane.nearest_pos(world, asn, src_city),
+                p_out: lane.nearest_pos(world, asn, dst_city),
+            };
         }
-        s
+        Plan::Shape(s)
+    }
+
+    /// The waypoint list `route::synthesize` would emit between two
+    /// attachment PoPs.
+    // geo-lint: hot-path
+    fn shape_of(
+        &self,
+        world: &World,
+        params: &NetParams,
+        lane: &WorldLane,
+        a: (AsId, CityId),
+        b: (AsId, CityId),
+    ) -> PathShape {
+        match self.plan(world, params, lane, a, b) {
+            Plan::Shape(s) => s,
+            Plan::Transit { asn, p_in, p_out } => {
+                let mut s = PathShape::new();
+                s.push(a.0, a.1);
+                s.push(asn, lane.pop_at(asn, p_in));
+                if p_out != p_in {
+                    s.push(asn, lane.pop_at(asn, p_out));
+                }
+                s.push(b.0, b.1);
+                s
+            }
+        }
     }
 
     /// The waypoint list `route::synthesize` would emit for this pair,
@@ -552,25 +643,66 @@ impl RouteCache {
         self.shape_of(world, params, lane, attach(world, src), attach(world, dst))
     }
 
-    /// The middle-link addends of one direction between two attaches.
+    /// The middle-link addends of one direction between two attaches
+    /// (indices into the lane's `attaches`).
+    ///
+    /// A transit path's links come from three small key spaces, each
+    /// read through a lane: the uplink (attach, transit), the core link
+    /// (transit, PoP, PoP) and the downlink (transit, attach). The links
+    /// are those of the shape `route::synthesize` dedups from
+    /// `[a, t_in, t_out, b]`: an endpoint attached at the transit's own
+    /// nearest PoP merges with it, and `t_out` is pushed only when it
+    /// differs from `t_in`. Every slot holds `mid_ms` of exactly its key,
+    /// so the addends are bit-identical to the walk over the shape.
     // geo-lint: hot-path
     fn dir_seq(
         &self,
         world: &World,
         params: &NetParams,
         lane: &WorldLane,
-        from: (AsId, CityId),
-        to: (AsId, CityId),
+        ai: u32,
+        bi: u32,
     ) -> DirSeq {
-        let shape = self.shape_of(world, params, lane, from, to);
-        let wps = shape.waypoints();
-        let mut mids = [0.0f64; 3];
-        let mut len = 0u8;
-        for w in wps.windows(2) {
-            mids[len as usize] = self.mid_ms(world, params, lane, w[0], w[1]);
-            len += 1;
+        let a = lane.attaches[ai as usize];
+        let b = lane.attaches[bi as usize];
+        match self.plan(world, params, lane, a, b) {
+            Plan::Shape(shape) => self.walk(world, params, lane, &shape),
+            Plan::Transit { asn, p_in, p_out } => {
+                let mut seq = DirSeq::EMPTY;
+                let k = lane.transit_pos[asn.index()];
+                let t_in = (asn, lane.pop_at(asn, p_in));
+                let t_out = (asn, lane.pop_at(asn, p_out));
+                let mid = |x, y| self.mid_ms(world, params, lane, x, y);
+                if a != t_in {
+                    seq.push(memo(&lane.link_row(ai)[2 * k as usize], || mid(a, t_in)));
+                }
+                if p_out != p_in {
+                    let slot = &lane.core_row(k, p_in)[p_out as usize];
+                    seq.push(memo(slot, || mid(t_in, t_out)));
+                }
+                if b != t_out {
+                    let slot = &lane.link_row(bi)[2 * k as usize + 1];
+                    seq.push(memo(slot, || mid(t_out, b)));
+                }
+                seq
+            }
         }
-        DirSeq { mids, len }
+    }
+
+    /// The middle-link addends of a waypoint list, one `mid_ms` per link.
+    // geo-lint: hot-path
+    fn walk(
+        &self,
+        world: &World,
+        params: &NetParams,
+        lane: &WorldLane,
+        shape: &PathShape,
+    ) -> DirSeq {
+        let mut seq = DirSeq::EMPTY;
+        for w in shape.waypoints().windows(2) {
+            seq.push(self.mid_ms(world, params, lane, w[0], w[1]));
+        }
+        seq
     }
 
     /// One-way delay along a shape, replaying the exact addition order of
@@ -617,11 +749,14 @@ impl RouteCache {
     /// Base (jitter-free) RTT between two hosts: forward plus reverse
     /// one-way delay, identical bits to `measure::base_rtt`. Both
     /// directions' middle addends are computed straight from the attach
-    /// pair, as [`RouteCache::base_row`] computes them per column, and
-    /// folded around the two per-host access constants. Nothing is stored
-    /// per pair: 1.4% of the pings in a publish build of the paper world
-    /// repeat a host pair, so a memo costs more in inserts and memory than
-    /// the recomputation it saves.
+    /// pair's shape and folded around the two per-host access constants.
+    /// Nothing is stored per pair: 1.4% of the pings in a publish build of
+    /// the paper world repeat a host pair, so a memo costs more in inserts
+    /// and memory than the recomputation it saves. The transit link lanes
+    /// that campaign rows read are left alone too: a publish build's pings
+    /// reach nearly every slot of them (92% of the link rows' slots and
+    /// 72% of the core slots at seed 42), which adds 2.8 MB, 15%, to its
+    /// peak resident set.
     // geo-lint: hot-path
     pub fn base_rtt_ms(&self, world: &World, params: &NetParams, src: HostId, dst: HostId) -> f64 {
         let lane = self.lane(world);
@@ -646,10 +781,19 @@ impl RouteCache {
                 &rev,
             );
         };
-        let a = lane.attaches[ai as usize];
-        let b = lane.attaches[bi as usize];
-        let f = self.dir_seq(world, params, lane, a, b);
-        let r = self.dir_seq(world, params, lane, b, a);
+        let (a, b) = (lane.attaches[ai as usize], lane.attaches[bi as usize]);
+        let f = self.walk(
+            world,
+            params,
+            lane,
+            &self.shape_of(world, params, lane, a, b),
+        );
+        let r = self.walk(
+            world,
+            params,
+            lane,
+            &self.shape_of(world, params, lane, b, a),
+        );
         let sa = self.access_ms(world, params, src);
         let sb = self.access_ms(world, params, dst);
         self.fold(params, sa, &f, sb) + self.fold(params, sb, &r, sa)
@@ -789,21 +933,15 @@ impl RouteCache {
         ai: u32,
     ) {
         let lane = self.lane(world);
-        let a = lane.attaches[ai as usize];
         scratch.seqs.clear();
         for col in &targets.cols {
             if col.attach == u32::MAX {
-                let empty = DirSeq {
-                    mids: [0.0; 3],
-                    len: 0,
-                };
-                scratch.seqs.push((empty, empty));
+                scratch.seqs.push((DirSeq::EMPTY, DirSeq::EMPTY));
                 continue;
             }
-            let b = lane.attaches[col.attach as usize];
             scratch.seqs.push((
-                self.dir_seq(world, params, lane, a, b),
-                self.dir_seq(world, params, lane, b, a),
+                self.dir_seq(world, params, lane, ai, col.attach),
+                self.dir_seq(world, params, lane, col.attach, ai),
             ));
         }
         scratch.attach = ai;

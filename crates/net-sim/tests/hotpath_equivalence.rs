@@ -8,7 +8,8 @@
 use geo_model::rng::{splitmix64, Seed};
 use net_sim::measure;
 use net_sim::route::{synthesize, Endpoint};
-use net_sim::{delay, Network, NoiseModel, RouteCache};
+use net_sim::{delay, Network, NoiseModel, RouteCache, RowScratch};
+use world_sim::ids::HostId;
 use world_sim::{World, WorldConfig};
 
 fn world() -> World {
@@ -185,4 +186,68 @@ fn network_ping_and_traceroute_match_reference() {
             splitmix64(7)
         )
     );
+}
+
+/// Campaign rows cell by cell against the reference `measure::ping_min`:
+/// attach-sorted source rows share one `RowScratch` (so consecutive rows
+/// reuse filled sequences), every target also runs as a row that skips
+/// its own column (the mesh diagonal), and a web server added after the
+/// lanes were sized is both a column and a row (the per-cell fallbacks).
+/// Hosts attached inside transit-pool ASes join as rows and columns, so
+/// paths whose transit is an endpoint's own AS are covered.
+#[test]
+fn campaign_rows_match_ping_min() {
+    let mut w = world();
+    let net = Network::new(Seed(351));
+    // Size the route cache's lanes on the world as generated.
+    let _ = net.target_lane(&w, &w.anchors);
+    let pool = w.transit_pool().to_vec();
+    let in_pool: Vec<HostId> = w
+        .hosts
+        .iter()
+        .filter(|h| pool.contains(&h.asn))
+        .map(|h| h.id)
+        .take(12)
+        .collect();
+    assert!(
+        !in_pool.is_empty(),
+        "no host attached inside the transit pool"
+    );
+    let t = pool[0];
+    let city = w.asn(t).pops[0];
+    let late = w.add_web_server(t, city, w.city(city).center);
+
+    let mut targets = w.anchors.clone();
+    targets.extend(&in_pool);
+    targets.push(late);
+    let lane = net.target_lane(&w, &targets);
+    assert_eq!(lane.len(), targets.len());
+
+    let mut probes = w.probes.clone();
+    probes.extend(&in_pool);
+    probes.sort_by_key(|&p| (net.attach_group(&w, p), p));
+    let mut rows: Vec<(HostId, Option<usize>)> = probes.into_iter().map(|p| (p, None)).collect();
+    rows.extend(targets.iter().enumerate().map(|(c, &a)| (a, Some(c))));
+
+    let mut scratch = RowScratch::new();
+    let mut cells = 0;
+    for (r, &(src, skip)) in rows.iter().enumerate() {
+        let nonce = |c: usize| 0x7A11 ^ ((r as u64) << 20 | c as u64);
+        let mut seen = Vec::with_capacity(targets.len());
+        net.campaign_row(&w, &lane, &mut scratch, src, 3, nonce, skip, |c, out| {
+            let dst = w.host(targets[c]).ip;
+            let slow = measure::ping_min(&w, net.params(), net.seed(), src, dst, 3, nonce(c));
+            assert_eq!(
+                out.rtt().map(|m| m.value().to_bits()),
+                slow.rtt().map(|m| m.value().to_bits()),
+                "row {r} ({src:?}) column {c} ({:?})",
+                targets[c]
+            );
+            seen.push(c);
+        });
+        let want: Vec<usize> = (0..targets.len()).filter(|&c| Some(c) != skip).collect();
+        assert_eq!(seen, want, "row {r} emitted the wrong columns");
+        cells += seen.len();
+    }
+    assert!(cells > 8000, "only {cells} cells compared");
 }
