@@ -360,7 +360,8 @@ impl Platform {
     /// The meshed anchor-to-anchor RTT measurements that RIPE Atlas
     /// publishes and §4.3's sanitizer consumes. Cell `(i, j)` is the
     /// min-RTT from `anchors[i]` to `anchors[j]` (NaN on the diagonal or
-    /// timeout), in the `f64` staging format the sanitizer reads directly.
+    /// timeout or lost reply), in the `f64` staging format the sanitizer
+    /// reads directly, measured by `Network::campaign` on the worker pool.
     /// Charged like any other ping campaign.
     pub fn anchor_mesh(
         &mut self,
@@ -380,22 +381,22 @@ impl Platform {
                 .refund_pings((n * n.saturating_sub(1) * packets) as u64);
             return Err(err);
         }
-        let mut mesh = DelayMatrix::new(n, n);
-        for (i, &src) in anchors.iter().enumerate() {
-            for (j, &dst) in anchors.iter().enumerate() {
-                if i == j {
-                    continue;
+        let pair = |i: usize, j: usize| nonce ^ ((i as u64) << 32 | j as u64);
+        let faults = self.faults.as_ref();
+        let mesh: DelayMatrix = net.campaign(
+            world,
+            anchors,
+            anchors,
+            n,
+            packets,
+            pair,
+            Some, // the diagonal stays NaN
+            |row, i, j, out| {
+                if !faults.is_some_and(|plan| plan.reply_lost(anchors[i], pair(i, j))) {
+                    row[j] = DelayMatrix::cell(out.rtt());
                 }
-                let pair = nonce ^ ((i as u64) << 32 | j as u64);
-                if let Some(plan) = &self.faults {
-                    if plan.reply_lost(src, pair) {
-                        continue;
-                    }
-                }
-                let ip = world.host(dst).ip;
-                mesh.set(i, j, net.ping_min(world, src, ip, packets, pair).rtt());
-            }
-        }
+            },
+        );
         // The mesh runs continuously in the background on real Atlas; the
         // charge models downloading a day's dump, not waiting for it.
         self.clock
@@ -496,6 +497,43 @@ mod tests {
             measured += (0..8).filter(|&j| mesh.get(i, j).is_some()).count();
         }
         assert!(measured > 40, "mesh mostly failed: {measured}");
+    }
+
+    /// The mesh cell by cell against one `ping_min` per ordered pair,
+    /// keyed `nonce ^ (i << 32 | j)`, under a plan that loses replies: a
+    /// lost reply leaves its cell NaN like the diagonal.
+    #[test]
+    fn mesh_matches_per_pair_pings_and_loses_replies() {
+        let (w, net, _) = setup();
+        let config = crate::faults::FaultConfig {
+            reply_loss_rate: 0.3,
+            ..crate::faults::FaultConfig::none()
+        };
+        let plan = FaultPlan::with_config(Seed(17), config);
+        let mut p =
+            Platform::with_faults(CreditAccount::upgraded(), PlatformConfig::default(), plan);
+        let anchors: Vec<_> = w.anchors.iter().copied().take(12).collect();
+        let mesh = p.anchor_mesh(&w, &net, &anchors).unwrap();
+        let plan = p.faults.as_ref().unwrap();
+        let mut lost = 0;
+        for (i, &src) in anchors.iter().enumerate() {
+            for (j, &dst) in anchors.iter().enumerate() {
+                let pair = p.nonce ^ ((i as u64) << 32 | j as u64);
+                let want = if i == j {
+                    None
+                } else if plan.reply_lost(src, pair) {
+                    lost += 1;
+                    None
+                } else {
+                    let ip = w.host(dst).ip;
+                    net.ping_min(&w, src, ip, p.config.packets_per_ping, pair)
+                        .rtt()
+                };
+                let bits = |v: Option<geo_model::units::Ms>| v.map(|m| m.value().to_bits());
+                assert_eq!(bits(mesh.get(i, j)), bits(want), "cell ({i}, {j})");
+            }
+        }
+        assert!(lost > 0, "the plan lost no reply");
     }
 
     #[test]

@@ -154,23 +154,16 @@ fn bench_greedy_coverage(c: &mut Criterion) {
 /// The anchor mesh as the campaign engine builds it (see
 /// `eval::dataset`): one row per source anchor, NaN diagonal.
 fn anchor_mesh(w: &World, net: &Network) -> DelayMatrix {
-    let lane = net.target_lane(w, &w.anchors);
-    let mut scratch = RowScratch::new();
-    let n = w.anchors.len();
-    let mut mesh = DelayMatrix::new(n, n);
-    for i in 0..n {
-        net.campaign_row(
-            w,
-            &lane,
-            &mut scratch,
-            w.anchors[i],
-            3,
-            |j| 9 ^ ((i as u64) << 24 | j as u64),
-            Some(i),
-            |j, o| mesh.set(i, j, o.rtt()),
-        );
-    }
-    mesh
+    net.campaign(
+        w,
+        &w.anchors,
+        &w.anchors,
+        w.anchors.len(),
+        3,
+        |i, j| 9 ^ ((i as u64) << 24 | j as u64),
+        Some,
+        |row, _, j, o| row[j] = DelayMatrix::cell(o.rtt()),
+    )
 }
 
 fn bench_sanitize(c: &mut Criterion) {

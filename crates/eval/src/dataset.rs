@@ -8,19 +8,23 @@
 //! reads. The representative campaign of the million-scale experiments
 //! (21.7M measurements at full scale) is built lazily on first use.
 //!
-//! Campaign outputs stage through [`DelayMatrix`] (`f64`, exact measured
-//! bits for the sanitizers) and land in dense [`RttMatrix`] arenas; every
-//! campaign runs on `Network::campaign_row`, which measures one source
-//! against a whole target lane with per-target constants hoisted and the
-//! route synthesis shared by rows behind the same attachment PoP. No
-//! campaign stores anything per (src, dst) pair: each pair is measured
-//! once, so a per-pair entry would cost memory and hashing for reads that
-//! never come. See DESIGN.md §10 for the hot-path architecture.
+//! All three campaigns (anchor mesh, probes → anchors, probes →
+//! representatives) run on `Network::campaign`, which fills one
+//! `geo_model::matrix::Matrix` in place: [`DelayMatrix`] (`f64`, the exact
+//! measured bits the sanitizers read) for the two §4.3 campaigns,
+//! [`RttMatrix`] (`f32`) for the representatives. The engine visits the
+//! sources grouped by attachment PoP, so rows behind one PoP share their
+//! route synthesis, and writes each row at its source's index, so no
+//! matrix is built twice or permuted. No campaign stores anything per
+//! (src, dst) pair: each pair is measured once, so a per-pair entry would
+//! cost memory and hashing for reads that never come. The experiments
+//! read dense `RttMatrix` copies over the sanitized populations. See
+//! DESIGN.md §10 for the hot-path architecture.
 
 use geo_model::rng::Seed;
 use geo_model::soi::SpeedOfInternet;
 use ipgeo::{sanitize_anchors, sanitize_probes};
-use net_sim::{Network, RowScratch};
+use net_sim::Network;
 use std::sync::OnceLock;
 use web_sim::ecosystem::{WebConfig, WebEcosystem};
 use world_sim::hitlist::HitlistEntry;
@@ -158,70 +162,37 @@ impl Dataset {
         let net = Network::new(scale.seed.derive("network"));
         let soi = SpeedOfInternet::CBG;
 
-        // §4.3 step 1: meshed anchor measurements, sanitize anchors.
-        // Row-parallel straight into the staging arena: each row is a pure
-        // function of its index, so the mesh is bit-identical at any
-        // `IPGEO_THREADS`. The target lane hoists the per-call constant
-        // work (`host_by_ip`, last-mile, access delays) out of the loops;
-        // see DESIGN.md §10.
-        let raw_anchors = world.anchors.clone();
-        let n_anchors = raw_anchors.len();
-        let anchor_lane = net.target_lane(&world, &raw_anchors);
-        let mesh = DelayMatrix::par_build_with(n_anchors, n_anchors, RowScratch::new, {
-            let (world, net) = (&world, &net);
-            let (raw_anchors, anchor_lane) = (&raw_anchors, &anchor_lane);
-            move |scratch, i, row| {
-                net.campaign_row(
-                    world,
-                    anchor_lane,
-                    scratch,
-                    raw_anchors[i],
-                    3,
-                    |j| 0x4E5A ^ ((i as u64) << 24 | j as u64),
-                    Some(i), // diagonal stays NaN
-                    |j, out| row[j] = DelayMatrix::cell(out.rtt()),
-                );
-            }
-        });
-        let anchor_report = sanitize_anchors(&world, &raw_anchors, &mesh, soi);
+        // §4.3 step 1: meshed anchor measurements, sanitize anchors. Each
+        // cell is a pure function of (anchor, anchor, packet index), so the
+        // mesh is bit-identical at any `IPGEO_THREADS`; see DESIGN.md §10.
+        let raw_anchors = &world.anchors;
+        let mesh: DelayMatrix = net.campaign(
+            &world,
+            raw_anchors,
+            raw_anchors,
+            raw_anchors.len(),
+            3,
+            |i, j| 0x4E5A ^ ((i as u64) << 24 | j as u64),
+            Some, // the diagonal stays NaN
+            |row, _, j, out| row[j] = DelayMatrix::cell(out.rtt()),
+        );
+        let anchor_report = sanitize_anchors(&world, raw_anchors, &mesh, soi);
         let anchors = anchor_report.kept.clone();
 
         // §4.3 step 2: probes vs trusted anchors; the same measurements
-        // feed the main RTT matrix. Every cell is a pure function of
-        // (probe, anchor, packet index), so rows may be computed in any
-        // order: computing them grouped by the probe's attachment PoP lets
-        // consecutive rows reuse the scratch's route sequences, and a
-        // row permutation afterwards restores probe order bit-for-bit.
-        let raw_probes = world.probes.clone();
-        let probe_lane = net.target_lane(&world, &anchors);
-        let mut order: Vec<u32> = (0..raw_probes.len() as u32).collect();
-        order.sort_by_key(|&p| (net.attach_group(&world, raw_probes[p as usize]), p));
-        let grouped =
-            DelayMatrix::par_build_with(raw_probes.len(), anchors.len(), RowScratch::new, {
-                let (world, net) = (&world, &net);
-                let (raw_probes, probe_lane, order) = (&raw_probes, &probe_lane, &order);
-                move |scratch, k, row| {
-                    let p = order[k] as usize;
-                    net.campaign_row(
-                        world,
-                        probe_lane,
-                        scratch,
-                        raw_probes[p],
-                        3,
-                        |_| 0x9A11 ^ (p as u64) << 20,
-                        None,
-                        |a, out| row[a] = DelayMatrix::cell(out.rtt()),
-                    );
-                }
-            });
-        let mut pos = vec![0u32; order.len()];
-        for (k, &p) in order.iter().enumerate() {
-            pos[p as usize] = k as u32;
-        }
-        let probe_rtts = DelayMatrix::par_build(raw_probes.len(), anchors.len(), |p, row| {
-            row.copy_from_slice(grouped.row(pos[p] as usize));
-        });
-        let probe_report = sanitize_probes(&world, &raw_probes, &anchors, &probe_rtts, soi);
+        // feed the main RTT matrix.
+        let raw_probes = &world.probes;
+        let probe_rtts: DelayMatrix = net.campaign(
+            &world,
+            raw_probes,
+            &anchors,
+            anchors.len(),
+            3,
+            |p, _| 0x9A11 ^ (p as u64) << 20,
+            |_| None,
+            |row, _, a, out| row[a] = DelayMatrix::cell(out.rtt()),
+        );
+        let probe_report = sanitize_probes(&world, raw_probes, &anchors, &probe_rtts, soi);
         let vps = probe_report.kept.clone();
 
         // Target subsample (deterministic stride); `target_cols[t]` is the
@@ -238,14 +209,14 @@ impl Dataset {
         // Dense matrices over the sanitized populations, by direct index
         // remap (kept lists preserve input order, so the positions come
         // from a linear walk, not hash lookups).
-        let vp_rows = positions_of(&vps, &raw_probes);
+        let vp_rows = positions_of(&vps, raw_probes);
         let rtt = RttMatrix::par_build(vps.len(), targets.len(), |vi, out| {
             let row = probe_rtts.row(vp_rows[vi]);
             for (slot, &col) in out.iter_mut().zip(&target_cols) {
                 *slot = row[col] as f32;
             }
         });
-        let anchor_rows = positions_of(&anchors, &raw_anchors);
+        let anchor_rows = positions_of(&anchors, raw_anchors);
         let anchor_rtt = RttMatrix::par_build(anchors.len(), anchors.len(), |i, out| {
             let row = mesh.row(anchor_rows[i]);
             for (slot, &col) in out.iter_mut().zip(&anchor_rows) {
@@ -282,56 +253,38 @@ impl Dataset {
     }
 
     /// The representative-campaign matrix: `vps x (targets *
-    /// REPRESENTATIVES)`, built lazily (21.7M measurements at full scale).
-    /// Row-parallel like the eager campaigns, on the same row engine as
-    /// the probe campaign: rows grouped by the VP's attachment PoP, then
-    /// permuted back to VP order; bit-identical at any `IPGEO_THREADS`.
+    /// REPRESENTATIVES)`, built lazily (21.7M measurements at full scale)
+    /// by the same campaign engine as the eager matrices; bit-identical at
+    /// any `IPGEO_THREADS`.
     pub fn rep_rtt(&self) -> &RttMatrix {
         self.rep_rtt.get_or_init(|| {
             let k = ipgeo::million::REPRESENTATIVES;
-            let cols = self.targets.len() * k;
-            // One lane column per representative that is a host; a
+            // One target per representative that is a host; a
             // representative address without one times out, so its cell
-            // stays NaN. `cells[c]` is lane column `c`'s matrix column.
-            let (world, net) = (&self.world, &self.net);
-            let mut hosts = Vec::with_capacity(cols);
-            let mut cells = Vec::with_capacity(cols);
-            let mut nonces = Vec::with_capacity(cols);
+            // stays NaN. `cells[c]` is target `c`'s matrix column.
+            let mut hosts = Vec::new();
+            let mut cells = Vec::new();
             for (ti, reps) in self.reps.iter().enumerate() {
                 for (ri, rep) in reps.iter().enumerate().take(k) {
-                    if let Some(h) = world.host_by_ip(rep.ip) {
+                    if let Some(h) = self.world.host_by_ip(rep.ip) {
                         hosts.push(h.id);
                         cells.push(ti * k + ri);
-                        nonces.push(0x5E9 ^ ((ti as u64) << 8 | ri as u64));
                     }
                 }
             }
-            let lane = net.target_lane(world, &hosts);
-            let vps = &self.vps;
-            let mut order: Vec<u32> = (0..vps.len() as u32).collect();
-            order.sort_by_key(|&v| (net.attach_group(world, vps[v as usize]), v));
-            let grouped = RttMatrix::par_build_with(vps.len(), cols, RowScratch::new, {
-                let (lane, order, cells, nonces) = (&lane, &order, &cells, &nonces);
-                move |scratch, r, row| {
-                    net.campaign_row(
-                        world,
-                        lane,
-                        scratch,
-                        vps[order[r] as usize],
-                        3,
-                        |c| nonces[c],
-                        None,
-                        |c, out| row[cells[c]] = RttMatrix::cell(out.rtt()),
-                    );
-                }
-            });
-            let mut pos = vec![0u32; order.len()];
-            for (r, &v) in order.iter().enumerate() {
-                pos[v as usize] = r as u32;
-            }
-            RttMatrix::par_build(vps.len(), cols, |vi, row| {
-                row.copy_from_slice(grouped.row(pos[vi] as usize));
-            })
+            self.net.campaign(
+                &self.world,
+                &self.vps,
+                &hosts,
+                self.targets.len() * k,
+                3,
+                |_, c| {
+                    let (ti, ri) = (cells[c] / k, cells[c] % k);
+                    0x5E9 ^ ((ti as u64) << 8 | ri as u64)
+                },
+                |_| None,
+                |row, _, c, out| row[cells[c]] = RttMatrix::cell(out.rtt()),
+            )
         })
     }
 

@@ -1213,9 +1213,10 @@ const ATTEMPT_MARKERS: &[&str] = &[
 ];
 
 /// R3: a `loop { … }` / `while true { … }` whose body handles retryable
-/// platform errors (`PlatformError`, `is_retryable`) without any bounded
-/// attempt accounting. Under fault injection such a loop can spin forever
-/// on a fault the plan keeps returning.
+/// platform faults (`PlatformError`, `is_retryable`, or the `ApiFault`s the
+/// campaign executor retries) without any bounded attempt accounting.
+/// Under fault injection such a loop can spin forever on a fault the plan
+/// keeps returning.
 fn check_r3(tokens: &[Token], diags: &mut Vec<Diagnostic>) {
     let mut i = 0;
     while i < tokens.len() {
@@ -1251,7 +1252,7 @@ fn check_r3(tokens: &[Token], diags: &mut Vec<Diagnostic>) {
         let body = &tokens[open..j.min(tokens.len())];
         let retryable = body.iter().any(|t| {
             t.ident()
-                .is_some_and(|s| s == "PlatformError" || s == "is_retryable")
+                .is_some_and(|s| matches!(s, "PlatformError" | "is_retryable" | "ApiFault"))
         });
         let bounded = body
             .iter()
@@ -1682,6 +1683,16 @@ mod tests {
         let r = det(src);
         assert_eq!(r.diagnostics.len(), 1, "{:?}", r.diagnostics);
         assert_eq!(r.diagnostics[0].rule, "R3");
+    }
+
+    #[test]
+    fn r3_fires_on_unbounded_api_fault_retry() {
+        let src = "fn f() {\n  loop {\n    match call() {\n      Err(ApiFault::ServerError) => continue,\n      _ => break,\n    }\n  }\n}";
+        let r = det(src);
+        assert_eq!(r.diagnostics.len(), 1, "{:?}", r.diagnostics);
+        assert_eq!(r.diagnostics[0].rule, "R3");
+        let bounded = "fn f() {\n  let mut attempt = 0;\n  loop {\n    attempt += 1;\n    if attempt >= 4 { break; }\n    match call() {\n      Err(ApiFault::ServerError) => continue,\n      _ => break,\n    }\n  }\n}";
+        assert!(det(bounded).is_clean(), "{:?}", det(bounded).diagnostics);
     }
 
     #[test]

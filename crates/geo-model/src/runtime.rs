@@ -81,30 +81,7 @@ where
     E: Clone + Send,
     F: Fn(usize, &mut [E]) + Sync,
 {
-    let mut data = vec![init; rows * cols];
-    if cols == 0 || rows == 0 {
-        return data;
-    }
-    let workers = threads().min(rows);
-    if workers <= 1 {
-        for (r, row) in data.chunks_mut(cols).enumerate() {
-            f(r, row);
-        }
-        return data;
-    }
-    let rows_per = rows.div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (w, block) in data.chunks_mut(rows_per * cols).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                let base = w * rows_per;
-                for (off, row) in block.chunks_mut(cols).enumerate() {
-                    f(base + off, row);
-                }
-            });
-        }
-    });
-    data
+    par_fill_rows_with(rows, cols, init, || (), |_, r, row| f(r, row))
 }
 
 /// [`par_fill_rows`] with per-worker scratch state: each worker calls
@@ -121,27 +98,57 @@ where
     M: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &mut [E]) + Sync,
 {
+    par_fill_rows_ordered(rows, cols, init, &(0..rows).collect::<Vec<_>>(), mk, f)
+}
+
+/// [`par_fill_rows_with`] visiting the rows in `order`: the workers split
+/// `order` into contiguous chunks and each writes `f(state, r, row)` in
+/// place into row `r` of the arena. An order that keeps rows sharing
+/// scratch contents next to each other (campaign sources sorted by
+/// attachment PoP) lets one worker's state serve them back to back,
+/// without filling a permuted arena and copying it into row order.
+///
+/// `order` names each row at most once (a repeat panics); rows it omits
+/// stay `init`. The purity contract of [`par_fill_rows_with`] makes the
+/// result independent of both the order and the worker count.
+pub fn par_fill_rows_ordered<E, S, M, F>(
+    rows: usize,
+    cols: usize,
+    init: E,
+    order: &[usize],
+    mk: M,
+    f: F,
+) -> Vec<E>
+where
+    E: Clone + Send,
+    M: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &mut [E]) + Sync,
+{
     let mut data = vec![init; rows * cols];
-    if cols == 0 || rows == 0 {
+    if cols == 0 {
         return data;
     }
-    let workers = threads().min(rows);
+    let mut slots: Vec<Option<&mut [E]>> = data.chunks_mut(cols).map(Some).collect();
+    let mut seq: Vec<(usize, &mut [E])> = order
+        .iter()
+        .map(|&r| (r, slots[r].take().expect("order names a row twice")))
+        .collect();
+    let workers = threads().min(seq.len());
     if workers <= 1 {
         let mut state = mk();
-        for (r, row) in data.chunks_mut(cols).enumerate() {
+        for (r, row) in seq {
             f(&mut state, r, row);
         }
         return data;
     }
-    let rows_per = rows.div_ceil(workers);
+    let per = seq.len().div_ceil(workers);
     std::thread::scope(|scope| {
-        for (w, block) in data.chunks_mut(rows_per * cols).enumerate() {
+        for block in seq.chunks_mut(per) {
             let (f, mk) = (&f, &mk);
             scope.spawn(move || {
-                let base = w * rows_per;
                 let mut state = mk();
-                for (off, row) in block.chunks_mut(cols).enumerate() {
-                    f(&mut state, base + off, row);
+                for (r, row) in block {
+                    f(&mut state, *r, row);
                 }
             });
         }
@@ -233,6 +240,31 @@ mod tests {
             },
         );
         assert_eq!(plain, with);
+    }
+
+    #[test]
+    fn fill_rows_ordered_matches_identity_order() {
+        // Cells depend on the row index only, so every order must give the
+        // identity order's arena, scratch state and all.
+        let fill = |calls: &mut u64, r: usize, row: &mut [u64]| {
+            *calls += 1;
+            for (c, slot) in row.iter_mut().enumerate() {
+                *slot = (r as u64) << 32 | c as u64;
+            }
+        };
+        let (rows, cols) = (41, 6);
+        let identity = par_fill_rows_with(rows, cols, u64::MAX, || 0, fill);
+        let reversed: Vec<usize> = (0..rows).rev().collect();
+        let strided: Vec<usize> = (0..7).flat_map(|s| (s..rows).step_by(7)).collect();
+        assert_eq!(strided.len(), rows);
+        for order in [reversed, strided] {
+            let got = par_fill_rows_ordered(rows, cols, u64::MAX, &order, || 0, fill);
+            assert_eq!(got, identity);
+        }
+        let twice = std::panic::catch_unwind(|| {
+            par_fill_rows_ordered(3, 2, 0u64, &[0, 2, 0], || (), |_, _, _| {})
+        });
+        assert!(twice.is_err(), "an order naming row 0 twice must panic");
     }
 
     #[test]

@@ -705,9 +705,9 @@ impl RouteCache {
         seq
     }
 
-    /// One-way delay along a shape, replaying the exact addition order of
-    /// `delay::one_way_delay`: first link, then per waypoint (processing,
-    /// next link), then the final link.
+    /// One-way delay along a shape: the shape's middle links folded
+    /// around the two endpoint links, in the exact addition order of
+    /// `delay::one_way_delay`.
     // geo-lint: hot-path
     pub fn one_way_ms(
         &self,
@@ -717,21 +717,14 @@ impl RouteCache {
         dst: Endpoint,
         shape: &PathShape,
     ) -> f64 {
-        let lane = self.lane(world);
-        let wps = shape.waypoints();
-        let mut total = 0.0f64;
-        total += self.endpoint_ms(world, params, src);
-        total += params.hop_processing_ms;
-        for w in wps.windows(2) {
-            total += self.mid_ms(world, params, lane, w[0], w[1]);
-            total += params.hop_processing_ms;
-        }
-        total += self.endpoint_ms(world, params, dst);
-        total
+        let mids = self.walk(world, params, self.lane(world), shape);
+        let a = self.endpoint_ms(world, params, src);
+        self.fold(params, a, &mids, self.endpoint_ms(world, params, dst))
     }
 
-    /// Folds one direction's addends in the reference order: access link,
-    /// then per waypoint (processing, next link), then the far access link.
+    /// Folds one direction's addends in the reference order of
+    /// `delay::one_way_delay`: the source's endpoint link, then per
+    /// waypoint (processing, next link), then the far endpoint link.
     // geo-lint: hot-path
     #[inline]
     fn fold(&self, params: &NetParams, access_src: f64, seq: &DirSeq, access_dst: f64) -> f64 {
@@ -747,56 +740,23 @@ impl RouteCache {
     }
 
     /// Base (jitter-free) RTT between two hosts: forward plus reverse
-    /// one-way delay, identical bits to `measure::base_rtt`. Both
-    /// directions' middle addends are computed straight from the attach
-    /// pair's shape and folded around the two per-host access constants.
-    /// Nothing is stored per pair: 1.4% of the pings in a publish build of
-    /// the paper world repeat a host pair, so a memo costs more in inserts
-    /// and memory than the recomputation it saves. The transit link lanes
-    /// that campaign rows read are left alone too: a publish build's pings
-    /// reach nearly every slot of them (92% of the link rows' slots and
-    /// 72% of the core slots at seed 42), which adds 2.8 MB, 15%, to its
-    /// peak resident set.
+    /// one-way delay, identical bits to `measure::base_rtt`. Each
+    /// direction walks the attach pair's shape and folds it around the two
+    /// per-host access constants. Nothing is stored per pair: 1.4% of the
+    /// pings in a publish build of the paper world repeat a host pair, so
+    /// a memo costs more in inserts and memory than the recomputation it
+    /// saves. The transit link lanes that campaign rows read are left
+    /// alone too: a publish build's pings reach nearly every slot of them
+    /// (92% of the link rows' slots and 72% of the core slots at seed 42),
+    /// which adds 2.8 MB, 15%, to its peak resident set.
     // geo-lint: hot-path
     pub fn base_rtt_ms(&self, world: &World, params: &NetParams, src: HostId, dst: HostId) -> f64 {
-        let lane = self.lane(world);
-        let (Some(&ai), Some(&bi)) = (
-            lane.host_attach.get(src.index()),
-            lane.host_attach.get(dst.index()),
-        ) else {
-            // Host added after the lane was sized: full uncached replay.
-            let fwd = self.shape(world, params, Endpoint::Host(src), Endpoint::Host(dst));
-            let rev = self.shape(world, params, Endpoint::Host(dst), Endpoint::Host(src));
-            return self.one_way_ms(
-                world,
-                params,
-                Endpoint::Host(src),
-                Endpoint::Host(dst),
-                &fwd,
-            ) + self.one_way_ms(
-                world,
-                params,
-                Endpoint::Host(dst),
-                Endpoint::Host(src),
-                &rev,
-            );
-        };
-        let (a, b) = (lane.attaches[ai as usize], lane.attaches[bi as usize]);
-        let f = self.walk(
-            world,
-            params,
-            lane,
-            &self.shape_of(world, params, lane, a, b),
+        let (a, b) = (Endpoint::Host(src), Endpoint::Host(dst));
+        let (fwd, rev) = (
+            self.shape(world, params, a, b),
+            self.shape(world, params, b, a),
         );
-        let r = self.walk(
-            world,
-            params,
-            lane,
-            &self.shape_of(world, params, lane, b, a),
-        );
-        let sa = self.access_ms(world, params, src);
-        let sb = self.access_ms(world, params, dst);
-        self.fold(params, sa, &f, sb) + self.fold(params, sb, &r, sa)
+        self.one_way_ms(world, params, a, b, &fwd) + self.one_way_ms(world, params, b, a, &rev)
     }
 
     /// Cumulative delays to each waypoint (traceroute hop timing),

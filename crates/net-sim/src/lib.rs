@@ -42,6 +42,7 @@ pub use params::NetParams;
 pub use route::{Endpoint, Path, Waypoint};
 
 use geo_model::ip::Ipv4;
+use geo_model::matrix::{Cell, Matrix};
 use geo_model::rng::{splitmix64, Seed};
 use geo_model::units::Ms;
 use std::sync::Arc;
@@ -226,6 +227,54 @@ impl Network {
                 emit(c, out);
             },
         );
+    }
+
+    /// A whole campaign: [`Network::campaign_row`] from every source to
+    /// every target, written in place into a `sources × cols` matrix
+    /// whose cells start NaN. `nonce(r, c)` keys the cell of source `r`
+    /// and target `c`, `skip(r)` names a target column row `r` leaves out
+    /// (the mesh diagonal), and `emit(row, r, c, outcome)` stores target
+    /// `c`'s outcome in row `r`: at column `c`, or at any column of a
+    /// matrix wider than the target list.
+    ///
+    /// Rows run in [`Network::attach_group`] order, so the rows one
+    /// worker fills back to back share its [`RowScratch`]; each row still
+    /// lands at its source's index, and every cell is a pure function of
+    /// its source, target and nonce, so the matrix is bit-identical at
+    /// any `IPGEO_THREADS`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn campaign<T: Cell>(
+        &self,
+        world: &World,
+        sources: &[HostId],
+        targets: &[HostId],
+        cols: usize,
+        count: usize,
+        nonce: impl Fn(usize, usize) -> u64 + Sync,
+        skip: impl Fn(usize) -> Option<usize> + Sync,
+        emit: impl Fn(&mut [T], usize, usize, PingOutcome) + Sync,
+    ) -> Matrix<T> {
+        let lane = self.target_lane(world, targets);
+        let mut order: Vec<usize> = (0..sources.len()).collect();
+        order.sort_by_key(|&r| self.attach_group(world, sources[r]));
+        Matrix::par_build_ordered(
+            sources.len(),
+            cols,
+            &order,
+            RowScratch::new,
+            |scratch, r, row| {
+                self.campaign_row(
+                    world,
+                    &lane,
+                    scratch,
+                    sources[r],
+                    count,
+                    |c| nonce(r, c),
+                    skip(r),
+                    |c, out| emit(row, r, c, out),
+                );
+            },
+        )
     }
 
     /// A traceroute from `src` to the address `dst`. Same semantics as

@@ -5,6 +5,7 @@
 //! The end-to-end digests live in `crates/core/tests/hotpath_equivalence.rs`;
 //! this test localizes any drift to the exact primitive that diverged.
 
+use geo_model::matrix::DelayMatrix;
 use geo_model::rng::{splitmix64, Seed};
 use net_sim::measure;
 use net_sim::route::{synthesize, Endpoint};
@@ -250,4 +251,74 @@ fn campaign_rows_match_ping_min() {
         cells += seen.len();
     }
     assert!(cells > 8000, "only {cells} cells compared");
+}
+
+/// `Network::campaign` cell by cell against the reference
+/// `measure::ping_min`. Anchors, some probes, hosts attached inside
+/// transit-pool ASes and a web server added after the lanes were sized
+/// are both the sources and the targets, in two campaigns: a mesh that
+/// skips its diagonal, and one that maps target column `c` to column
+/// `2c + 1` of a matrix of width `2n + 1`. Every written cell must carry
+/// the reference bits, and every other cell must stay NaN.
+#[test]
+fn campaign_matches_ping_min() {
+    let mut w = world();
+    let net = Network::new(Seed(351));
+    // Size the route cache's lanes on the world as generated.
+    let _ = net.target_lane(&w, &w.anchors);
+    let pool = w.transit_pool().to_vec();
+    let in_pool: Vec<HostId> = w
+        .hosts
+        .iter()
+        .filter(|h| pool.contains(&h.asn))
+        .map(|h| h.id)
+        .take(12)
+        .collect();
+    assert!(
+        !in_pool.is_empty(),
+        "no host attached inside the transit pool"
+    );
+    let city = w.asn(pool[0]).pops[0];
+    let late = w.add_web_server(pool[0], city, w.city(city).center);
+    let mut hosts = w.anchors.clone();
+    hosts.extend(w.probes.iter().take(40));
+    hosts.extend(&in_pool);
+    hosts.push(late);
+    let n = hosts.len();
+
+    let nonce = |r: usize, c: usize| 0x3E5A ^ ((r as u64) << 20 | c as u64);
+    let mesh: DelayMatrix =
+        net.campaign(&w, &hosts, &hosts, n, 3, nonce, Some, |row, _, c, out| {
+            row[c] = DelayMatrix::cell(out.rtt());
+        });
+    let wide: DelayMatrix = net.campaign(
+        &w,
+        &hosts,
+        &hosts,
+        2 * n + 1,
+        3,
+        nonce,
+        |_| None,
+        |row, _, c, out| row[2 * c + 1] = DelayMatrix::cell(out.rtt()),
+    );
+    assert_eq!((mesh.rows(), mesh.cols()), (n, n));
+    assert_eq!((wide.rows(), wide.cols()), (n, 2 * n + 1));
+
+    let bits = |m: &DelayMatrix, r, c| m.get(r, c).map(|v| v.value().to_bits());
+    for (r, &src) in hosts.iter().enumerate() {
+        for (c, &dst) in hosts.iter().enumerate() {
+            let ip = w.host(dst).ip;
+            let slow = measure::ping_min(&w, net.params(), net.seed(), src, ip, 3, nonce(r, c));
+            let slow = slow.rtt().map(|m| m.value().to_bits());
+            if r == c {
+                assert!(mesh.row(r)[c].is_nan(), "mesh diagonal {r} was written");
+            } else {
+                assert_eq!(bits(&mesh, r, c), slow, "mesh ({r}, {c})");
+            }
+            assert_eq!(bits(&wide, r, 2 * c + 1), slow, "wide ({r}, {c})");
+        }
+        let written = wide.row(r).iter().step_by(2).filter(|v| !v.is_nan());
+        assert_eq!(written.count(), 0, "wide row {r} wrote an unmapped column");
+    }
+    assert!(n * n > 5000, "only {n} hosts compared");
 }
