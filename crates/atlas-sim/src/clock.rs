@@ -1,50 +1,9 @@
 //! Virtual time.
 //!
-//! The simulation never reads wall-clock time; every duration (measurement
-//! scheduling, API latency, mapping-service rate limits) advances a
-//! [`VirtualClock`]. This keeps runs reproducible and lets the Figure 6c
-//! experiment measure "time to geolocate a target" without actually
-//! waiting 20 minutes.
-
-use std::fmt;
-
-/// A duration in virtual seconds.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-pub struct VirtualDuration(pub f64);
-
-impl VirtualDuration {
-    /// Zero duration.
-    pub const ZERO: VirtualDuration = VirtualDuration(0.0);
-
-    /// Builds a duration from seconds.
-    pub fn from_secs(secs: f64) -> VirtualDuration {
-        VirtualDuration(secs)
-    }
-
-    /// The duration in seconds.
-    pub fn as_secs(&self) -> f64 {
-        self.0
-    }
-}
-
-impl std::ops::Add for VirtualDuration {
-    type Output = VirtualDuration;
-    fn add(self, rhs: VirtualDuration) -> VirtualDuration {
-        VirtualDuration(self.0 + rhs.0)
-    }
-}
-
-impl std::ops::AddAssign for VirtualDuration {
-    fn add_assign(&mut self, rhs: VirtualDuration) {
-        self.0 += rhs.0;
-    }
-}
-
-impl fmt::Display for VirtualDuration {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.1}s", self.0)
-    }
-}
+//! The simulation never reads wall-clock time; the anchor-mesh download
+//! advances a [`VirtualClock`] by its API round trip instead. This keeps
+//! runs reproducible and lets `ipgeo sanitize` report the time a download
+//! would take without actually waiting minutes.
 
 /// A monotonically advancing virtual clock.
 #[derive(Debug, Clone, Default)]
@@ -63,24 +22,18 @@ impl VirtualClock {
         self.now_secs
     }
 
-    /// Advances the clock.
+    /// Advances the clock by `secs` virtual seconds.
     ///
     /// # Panics
     ///
     /// Panics on negative or non-finite durations — time never goes
     /// backwards.
-    pub fn advance(&mut self, d: VirtualDuration) {
+    pub fn advance(&mut self, secs: f64) {
         assert!(
-            d.0.is_finite() && d.0 >= 0.0,
-            "clock can only advance forward, got {}",
-            d.0
+            secs.is_finite() && secs >= 0.0,
+            "clock can only advance forward, got {secs}"
         );
-        self.now_secs += d.0;
-    }
-
-    /// Time elapsed since a previous reading.
-    pub fn elapsed_since(&self, earlier_secs: f64) -> VirtualDuration {
-        VirtualDuration((self.now_secs - earlier_secs).max(0.0))
+        self.now_secs += secs;
     }
 }
 
@@ -92,30 +45,14 @@ mod tests {
     fn starts_at_zero_and_advances() {
         let mut c = VirtualClock::new();
         assert_eq!(c.now_secs(), 0.0);
-        c.advance(VirtualDuration::from_secs(12.5));
-        c.advance(VirtualDuration::from_secs(0.5));
+        c.advance(12.5);
+        c.advance(0.5);
         assert_eq!(c.now_secs(), 13.0);
-    }
-
-    #[test]
-    fn elapsed_since() {
-        let mut c = VirtualClock::new();
-        c.advance(VirtualDuration::from_secs(10.0));
-        let mark = c.now_secs();
-        c.advance(VirtualDuration::from_secs(7.0));
-        assert_eq!(c.elapsed_since(mark).as_secs(), 7.0);
     }
 
     #[test]
     #[should_panic(expected = "forward")]
     fn rejects_negative_advance() {
-        VirtualClock::new().advance(VirtualDuration::from_secs(-1.0));
-    }
-
-    #[test]
-    fn duration_arithmetic() {
-        let a = VirtualDuration::from_secs(1.0) + VirtualDuration::from_secs(2.0);
-        assert_eq!(a.as_secs(), 3.0);
-        assert_eq!(format!("{a}"), "3.0s");
+        VirtualClock::new().advance(-1.0);
     }
 }

@@ -7,25 +7,12 @@
 
 use std::fmt;
 
-/// Credit cost schedule, following RIPE Atlas's published rates.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostSchedule {
-    /// Credits per ping packet.
-    pub per_ping_packet: u64,
-    /// Credits per traceroute.
-    pub per_traceroute: u64,
-}
+/// Credits per ping packet, following RIPE Atlas's published rates: a
+/// 3-packet ping result costs 3 credits.
+pub const CREDITS_PER_PING_PACKET: u64 = 1;
 
-impl Default for CostSchedule {
-    fn default() -> CostSchedule {
-        CostSchedule {
-            // RIPE Atlas: a ping result costs packets * 1 credit...
-            // effectively ~3 per 3-packet ping; a traceroute ~10.
-            per_ping_packet: 1,
-            per_traceroute: 10,
-        }
-    }
-}
+/// Credits per traceroute result.
+pub const CREDITS_PER_TRACEROUTE: u64 = 10;
 
 /// Error: the account ran out of credits.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,25 +38,17 @@ impl std::error::Error for InsufficientCredits {}
 /// A credit account with a balance and a spending ledger.
 ///
 /// Accounting identity: `initial_balance == balance() + spent()` at all
-/// times, where `spent()` is *net* of refunds; `refunded()` counts the
-/// credits returned for measurements the platform failed to deliver.
+/// times.
 #[derive(Debug, Clone)]
 pub struct CreditAccount {
     balance: u64,
     spent: u64,
-    refunded: u64,
-    schedule: CostSchedule,
 }
 
 impl CreditAccount {
     /// An account with the given starting balance.
     pub fn new(balance: u64) -> CreditAccount {
-        CreditAccount {
-            balance,
-            spent: 0,
-            refunded: 0,
-            schedule: CostSchedule::default(),
-        }
+        CreditAccount { balance, spent: 0 }
     }
 
     /// The upgraded account RIPE granted the authors: effectively
@@ -78,58 +57,20 @@ impl CreditAccount {
         CreditAccount::new(u64::MAX / 2)
     }
 
-    /// Account with a custom cost schedule.
-    pub fn with_schedule(balance: u64, schedule: CostSchedule) -> CreditAccount {
-        CreditAccount {
-            balance,
-            spent: 0,
-            refunded: 0,
-            schedule,
-        }
-    }
-
     /// Remaining balance.
     pub fn balance(&self) -> u64 {
         self.balance
     }
 
-    /// Total credits spent so far, net of refunds.
+    /// Total credits spent so far.
     pub fn spent(&self) -> u64 {
         self.spent
     }
 
-    /// Total credits refunded for failed or undelivered measurements.
-    pub fn refunded(&self) -> u64 {
-        self.refunded
-    }
-
-    /// The cost schedule.
-    pub fn schedule(&self) -> CostSchedule {
-        self.schedule
-    }
-
-    /// Charges for `packets` ping packets.
+    /// Charges for `packets` ping packets; an overdraft is refused and
+    /// leaves the account untouched.
     pub fn charge_pings(&mut self, packets: u64) -> Result<(), InsufficientCredits> {
-        self.charge(packets.saturating_mul(self.schedule.per_ping_packet))
-    }
-
-    /// Charges for `count` traceroutes.
-    pub fn charge_traceroutes(&mut self, count: u64) -> Result<(), InsufficientCredits> {
-        self.charge(count.saturating_mul(self.schedule.per_traceroute))
-    }
-
-    /// Refunds `packets` ping packets that were charged but never
-    /// delivered (API failure, disconnected probe).
-    pub fn refund_pings(&mut self, packets: u64) {
-        self.refund(packets.saturating_mul(self.schedule.per_ping_packet));
-    }
-
-    /// Refunds `count` traceroutes that were charged but never delivered.
-    pub fn refund_traceroutes(&mut self, count: u64) {
-        self.refund(count.saturating_mul(self.schedule.per_traceroute));
-    }
-
-    fn charge(&mut self, cost: u64) -> Result<(), InsufficientCredits> {
+        let cost = packets.saturating_mul(CREDITS_PER_PING_PACKET);
         if cost > self.balance {
             return Err(InsufficientCredits {
                 needed: cost,
@@ -139,16 +80,6 @@ impl CreditAccount {
         self.balance -= cost;
         self.spent += cost;
         Ok(())
-    }
-
-    /// Returns previously charged credits. A refund can never exceed what
-    /// was actually spent, so the `initial == balance + spent` identity
-    /// survives any interleaving of charges and refunds.
-    fn refund(&mut self, amount: u64) {
-        let amount = amount.min(self.spent);
-        self.balance = self.balance.saturating_add(amount);
-        self.spent -= amount;
-        self.refunded += amount;
     }
 }
 
@@ -160,7 +91,7 @@ mod tests {
     fn charges_and_tracks() {
         let mut acc = CreditAccount::new(100);
         acc.charge_pings(30).unwrap();
-        acc.charge_traceroutes(5).unwrap();
+        acc.charge_pings(50).unwrap();
         assert_eq!(acc.balance(), 100 - 30 - 50);
         assert_eq!(acc.spent(), 80);
     }
@@ -168,7 +99,7 @@ mod tests {
     #[test]
     fn rejects_overdraft() {
         let mut acc = CreditAccount::new(5);
-        let err = acc.charge_traceroutes(1).unwrap_err();
+        let err = acc.charge_pings(10).unwrap_err();
         assert_eq!(err.needed, 10);
         assert_eq!(err.available, 5);
         // Balance untouched on failure.
@@ -183,46 +114,6 @@ mod tests {
         assert!(acc.balance() > 0);
     }
 
-    #[test]
-    fn refund_restores_balance_and_tracks() {
-        let mut acc = CreditAccount::new(100);
-        acc.charge_pings(30).unwrap();
-        acc.refund_pings(10);
-        assert_eq!(acc.balance(), 80);
-        assert_eq!(acc.spent(), 20);
-        assert_eq!(acc.refunded(), 10);
-        acc.charge_traceroutes(2).unwrap();
-        acc.refund_traceroutes(1);
-        assert_eq!(acc.balance(), 70);
-        assert_eq!(acc.spent(), 30);
-        assert_eq!(acc.refunded(), 20);
-        // Identity: initial == balance + spent.
-        assert_eq!(acc.balance() + acc.spent(), 100);
-    }
-
-    #[test]
-    fn refund_is_clamped_to_spent() {
-        let mut acc = CreditAccount::new(50);
-        acc.charge_pings(10).unwrap();
-        acc.refund_pings(1_000_000);
-        assert_eq!(acc.balance(), 50);
-        assert_eq!(acc.spent(), 0);
-        assert_eq!(acc.refunded(), 10);
-    }
-
-    #[test]
-    fn custom_schedule() {
-        let mut acc = CreditAccount::with_schedule(
-            100,
-            CostSchedule {
-                per_ping_packet: 2,
-                per_traceroute: 20,
-            },
-        );
-        acc.charge_pings(10).unwrap();
-        assert_eq!(acc.balance(), 80);
-    }
-
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -231,27 +122,22 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
             /// The ledger identity `initial == balance + spent` holds after
-            /// every operation, for any interleaving of charges (which may
-            /// overdraft and be rejected) and refunds (which clamp to what
-            /// was actually spent).
+            /// every charge, for any interleaving of charges that fit and
+            /// overdrafts that are refused.
             #[test]
             fn accounting_identity_survives_any_interleaving(
                 initial in 0u64..100_000,
-                ops in prop::collection::vec((0u8..4, 0u64..2_000), 0..64),
+                ops in prop::collection::vec(0u64..20_000, 0..64),
             ) {
                 let mut acc = CreditAccount::new(initial);
-                let mut refunded_before = 0;
-                for (kind, amount) in ops {
-                    match kind {
-                        0 => { let _ = acc.charge_pings(amount); }
-                        1 => { let _ = acc.charge_traceroutes(amount); }
-                        2 => acc.refund_pings(amount),
-                        _ => acc.refund_traceroutes(amount),
-                    }
+                for packets in ops {
+                    let before = acc.balance();
+                    let cost = match acc.charge_pings(packets) {
+                        Ok(()) => packets * CREDITS_PER_PING_PACKET,
+                        Err(_) => 0,
+                    };
+                    prop_assert_eq!(acc.balance(), before - cost);
                     prop_assert_eq!(acc.balance() + acc.spent(), initial);
-                    prop_assert!(acc.spent() <= initial);
-                    prop_assert!(acc.refunded() >= refunded_before);
-                    refunded_before = acc.refunded();
                 }
             }
         }

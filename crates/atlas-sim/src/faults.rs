@@ -8,6 +8,8 @@
 //! of `(seed, fault domain, call key)` through [`geo_model::rng`], so a
 //! faulty run is exactly as reproducible as a clean one — bit-identical
 //! per seed at any `IPGEO_THREADS` setting, with no shared mutable state.
+//! The resilient executor (`ipgeo::resilient`) is the plan's one consumer:
+//! it draws every decision below per batch, attempt and vantage point.
 //!
 //! The taxonomy (see DESIGN.md §9):
 //!
@@ -82,8 +84,6 @@ pub struct FaultConfig {
     /// Probability that a vantage point is disconnected for one churn
     /// window.
     pub churn_rate: f64,
-    /// Length of one churn window in virtual seconds (must be positive).
-    pub churn_window_secs: f64,
     /// Probability that a reply is lost beyond the last-mile loss model.
     pub reply_loss_rate: f64,
     /// Probability that one reply carries a malformed RTT.
@@ -95,12 +95,11 @@ pub struct FaultConfig {
 }
 
 impl FaultConfig {
-    /// All rates zero — behaviour identical to a platform with no plan.
+    /// All rates zero — behaviour identical to running with no plan.
     pub fn none() -> FaultConfig {
         FaultConfig {
             api_fault_rate: 0.0,
             churn_rate: 0.0,
-            churn_window_secs: 1800.0,
             reply_loss_rate: 0.0,
             garble_rate: 0.0,
             truncation_rate: 0.0,
@@ -114,7 +113,6 @@ impl FaultConfig {
         FaultConfig {
             api_fault_rate: 0.10,
             churn_rate: 0.05,
-            churn_window_secs: 1800.0,
             reply_loss_rate: 0.02,
             garble_rate: 0.01,
             truncation_rate: 0.05,
@@ -127,7 +125,6 @@ impl FaultConfig {
         FaultConfig {
             api_fault_rate: 0.35,
             churn_rate: 0.20,
-            churn_window_secs: 900.0,
             reply_loss_rate: 0.10,
             garble_rate: 0.05,
             truncation_rate: 0.20,
@@ -210,9 +207,8 @@ impl FaultPlan {
     }
 
     /// Is `vp` disconnected for churn window `window`? Windows are
-    /// caller-defined epochs (the platform uses virtual-clock intervals of
-    /// [`FaultConfig::churn_window_secs`]); a probe down in one window
-    /// reconnects in the next.
+    /// caller-defined epochs (the executor draws one per batch key); a
+    /// probe down in one window reconnects in the next.
     pub fn vp_disconnected(&self, vp: HostId, window: u64) -> bool {
         self.config.churn_rate > 0.0
             && self.unit("churn", splitmix64(window) ^ vp.0 as u64) < self.config.churn_rate
@@ -339,7 +335,7 @@ mod tests {
     }
 
     #[test]
-    fn churn_windows_reconnect_probes() {
+    fn probes_reconnect_in_later_windows() {
         let p = plan(FaultProfile::Hostile);
         let vp = HostId(11);
         let down: Vec<u64> = (0..200).filter(|&w| p.vp_disconnected(vp, w)).collect();

@@ -1,9 +1,8 @@
 //! Property-based tests for the measurement platform's accounting
 //! invariants.
 
-use atlas_sim::clock::{VirtualClock, VirtualDuration};
-use atlas_sim::credits::{CostSchedule, CreditAccount};
-use atlas_sim::{CreditAccount as Credits, Platform};
+use atlas_sim::clock::VirtualClock;
+use atlas_sim::{CreditAccount, Platform};
 use geo_model::rng::Seed;
 use net_sim::Network;
 use proptest::prelude::*;
@@ -25,24 +24,13 @@ proptest! {
     #[test]
     fn credit_conservation(
         balance in 0u64..10_000,
-        pings in 0u64..5_000,
-        traces in 0u64..1_000,
+        first in 0u64..5_000,
+        second in 0u64..5_000,
     ) {
         let mut acc = CreditAccount::new(balance);
-        let _ = acc.charge_pings(pings);
-        let _ = acc.charge_traceroutes(traces);
+        let _ = acc.charge_pings(first);
+        let _ = acc.charge_pings(second);
         prop_assert_eq!(acc.balance() + acc.spent(), balance);
-    }
-
-    /// Custom schedules scale costs linearly.
-    #[test]
-    fn schedule_scales(ping_cost in 1u64..10, count in 1u64..100) {
-        let mut acc = CreditAccount::with_schedule(
-            1_000_000,
-            CostSchedule { per_ping_packet: ping_cost, per_traceroute: 10 },
-        );
-        acc.charge_pings(count).expect("affordable");
-        prop_assert_eq!(acc.spent(), ping_cost * count);
     }
 
     /// The virtual clock is monotone under any sequence of advances.
@@ -51,29 +39,24 @@ proptest! {
         let mut clock = VirtualClock::new();
         let mut last = 0.0;
         for s in steps {
-            clock.advance(VirtualDuration::from_secs(s));
+            clock.advance(s);
             prop_assert!(clock.now_secs() >= last);
             last = clock.now_secs();
         }
     }
 
-    /// A ping batch always returns one result per requested VP, charges
-    /// exactly VPs × packets credits, and advances the clock.
+    /// A mesh download always returns an `n x n` matrix with an empty
+    /// diagonal, charges exactly `n (n - 1)` pings of 3 packets, and
+    /// advances the clock.
     #[test]
-    fn batch_accounting(n_vps in 1usize..40, anchor_sel in 0usize..25) {
+    fn batch_accounting(n in 1usize..12, first in 0usize..25) {
         let (w, net) = world();
-        let mut platform = Platform::new(Credits::upgraded());
-        let vps: Vec<_> = w.probes.iter().copied().take(n_vps).collect();
-        let target = w.host(w.anchors[anchor_sel % w.anchors.len()]).ip;
-        let before_spent = platform.credits().spent();
-        let before_clock = platform.clock().now_secs();
-        let batch = platform.ping_from(w, net, &vps, target).expect("batch");
-        prop_assert_eq!(batch.results.len(), n_vps);
-        prop_assert_eq!(
-            platform.credits().spent() - before_spent,
-            (n_vps * 3) as u64
-        );
-        prop_assert!(platform.clock().now_secs() > before_clock);
-        prop_assert!(batch.duration().as_secs() > 0.0);
+        let mut platform = Platform::new(CreditAccount::upgraded());
+        let anchors: Vec<_> = w.anchors.iter().copied().cycle().skip(first).take(n).collect();
+        let mesh = platform.anchor_mesh(w, net, &anchors).expect("mesh");
+        prop_assert_eq!((mesh.rows(), mesh.cols()), (n, n));
+        prop_assert!((0..n).all(|i| mesh.get(i, i).is_none()));
+        prop_assert_eq!(platform.credits().spent(), (n * (n - 1) * 3) as u64);
+        prop_assert!(platform.clock().now_secs() > 0.0);
     }
 }

@@ -162,7 +162,7 @@ fn anchor_mesh(w: &World, net: &Network) -> DelayMatrix {
         3,
         |i, j| 9 ^ ((i as u64) << 24 | j as u64),
         Some,
-        |row, _, j, o| row[j] = DelayMatrix::cell(o.rtt()),
+        |row, j, o| row[j] = DelayMatrix::cell(o.rtt()),
     )
 }
 

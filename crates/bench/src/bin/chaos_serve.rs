@@ -3,10 +3,10 @@
 //! Runs the full `geo_serve::chaos` equivalence experiment twice against
 //! a fixed synthetic snapshot — once clean (baseline), once with half
 //! the fleet replaying seeded fault schedules — and prints the attacked
-//! run's [`ChaosReport`] lines. Every printed value is a pure function
-//! of the seed: no wall-clock readings, no worker counts, no ordering
-//! artifacts, so CI can `cmp` the output across repeat runs and across
-//! `IPGEO_THREADS` settings. Exits 1 when the clean clients' byte
+//! run's [`ChaosReport`](geo_serve::ChaosReport) lines. Every printed
+//! value is a pure function of the seed: no wall-clock readings, no
+//! worker counts, no ordering artifacts, so CI can `cmp` the output
+//! across repeat runs and across `IPGEO_THREADS` settings. Exits 1 when the clean clients' byte
 //! streams differ between the baseline and the attacked run (the
 //! equivalence contract), or when either run fails outright.
 //!

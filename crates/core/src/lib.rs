@@ -5,8 +5,8 @@
 //! Rimlinger, Dreyfus, Gouel, Vermeulen — ACM IMC 2023), implemented over
 //! the simulated measurement ecosystem of this workspace:
 //!
-//! - [`cbg`] — the classic latency-based primitives: Constraint-Based
-//!   Geolocation (Gueye et al.) and Shortest Ping;
+//! - [`cbg`](mod@cbg) — the classic latency-based primitives:
+//!   Constraint-Based Geolocation (Gueye et al.) and Shortest Ping;
 //! - [`sanitize`] — the §4.3 speed-of-Internet sanitizer for vantage-point
 //!   and target geolocation metadata;
 //! - [`million`] — the million-scale paper's vantage-point selection

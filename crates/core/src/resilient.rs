@@ -24,7 +24,7 @@
 //! function of `(plan seed, batch key, attempt, vp)`, so faulty runs are
 //! bit-identical at any `IPGEO_THREADS` setting too.
 
-use atlas_sim::credits::CostSchedule;
+use atlas_sim::credits::{CREDITS_PER_PING_PACKET, CREDITS_PER_TRACEROUTE};
 use atlas_sim::faults::{ApiFault, FaultPlan};
 use geo_model::ip::Ipv4;
 use geo_model::rng::splitmix64;
@@ -104,12 +104,6 @@ impl<'a> Resilience<'a> {
             plan: Some(plan),
             policy: RetryPolicy::default(),
         }
-    }
-
-    /// Overrides the retry policy.
-    pub fn with_policy(mut self, policy: RetryPolicy) -> Resilience<'a> {
-        self.policy = policy;
-        self
     }
 
     /// The policy in force.
@@ -344,7 +338,7 @@ pub fn ping_batch_keyed_into(
         res,
         vps,
         batch_key,
-        packets as u64 * CostSchedule::default().per_ping_packet,
+        packets as u64 * CREDITS_PER_PING_PACKET,
         Some(PingOutcome::Timeout),
         vp_nonce,
         |vp, nonce| net.ping_min(world, vp, target, packets, nonce),
@@ -402,7 +396,7 @@ pub fn traceroute_batch_keyed(
         res,
         vps,
         batch_key,
-        CostSchedule::default().per_traceroute,
+        CREDITS_PER_TRACEROUTE,
         None,
         vp_nonce,
         |vp, nonce| net.traceroute(world, vp, target, nonce),

@@ -174,7 +174,7 @@ impl Dataset {
             3,
             |i, j| 0x4E5A ^ ((i as u64) << 24 | j as u64),
             Some, // the diagonal stays NaN
-            |row, _, j, out| row[j] = DelayMatrix::cell(out.rtt()),
+            |row, j, out| row[j] = DelayMatrix::cell(out.rtt()),
         );
         let anchor_report = sanitize_anchors(&world, raw_anchors, &mesh, soi);
         let anchors = anchor_report.kept.clone();
@@ -190,7 +190,7 @@ impl Dataset {
             3,
             |p, _| 0x9A11 ^ (p as u64) << 20,
             |_| None,
-            |row, _, a, out| row[a] = DelayMatrix::cell(out.rtt()),
+            |row, a, out| row[a] = DelayMatrix::cell(out.rtt()),
         );
         let probe_report = sanitize_probes(&world, raw_probes, &anchors, &probe_rtts, soi);
         let vps = probe_report.kept.clone();
@@ -283,7 +283,7 @@ impl Dataset {
                     0x5E9 ^ ((ti as u64) << 8 | ri as u64)
                 },
                 |_| None,
-                |row, _, c, out| row[cells[c]] = RttMatrix::cell(out.rtt()),
+                |row, c, out| row[cells[c]] = RttMatrix::cell(out.rtt()),
             )
         })
     }

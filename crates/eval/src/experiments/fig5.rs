@@ -5,7 +5,6 @@ use crate::dataset::Dataset;
 use crate::report::{log_thresholds, Report, Table};
 use geo_model::soi::SpeedOfInternet;
 use geo_model::stats;
-use geo_model::units::Km;
 use ipgeo::cbg::{cbg, VpMeasurement};
 use ipgeo::oracle::closest_landmark;
 use ipgeo::street::{geolocate, StreetConfig, StreetOutcome};
@@ -256,11 +255,6 @@ pub fn fig5c(d: &Dataset, set: &StreetSet) -> Report {
         report.table(example);
     }
     report
-}
-
-/// Helper for tests and Figure 6: distance conversion used above.
-pub fn measured_distance_km(delay_ms: f64) -> Km {
-    Km(delay_ms * SpeedOfInternet::STREET_LEVEL.km_per_ms())
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! One module per paper artifact. Every public function takes a
-//! [`Dataset`](crate::Dataset) (plus precomputed street outcomes where
-//! relevant) and returns a [`Report`](crate::Report) whose rows mirror the
+//! [`Dataset`] (plus precomputed street outcomes where relevant) and
+//! returns a [`Report`](crate::Report) whose rows mirror the
 //! paper's figure or table.
 
 pub mod faults;

@@ -20,9 +20,9 @@
 //! | `X2` | stale allow (suppresses nothing, or allows an unchecked rule) |
 //!
 //! With `--call-graph` the per-file rules gain interprocedural siblings.
-//! An item-level parser ([`parser`]) extracts every `fn` with its calls
-//! and sinks, a best-effort resolver ([`callgraph`]) links them across
-//! crates, and a reachability engine ([`reach`]) walks the graph:
+//! An item-level parser (`parser`) extracts every `fn` with its calls
+//! and sinks, a best-effort resolver (`callgraph`) links them across
+//! crates, and a reachability engine (`reach`) walks the graph:
 //!
 //! | rule  | violation |
 //! |-------|-----------|
@@ -54,22 +54,10 @@ use rules::Config;
 use std::path::Path;
 
 /// Knobs for a check run.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CheckOptions {
     /// Build the workspace call graph and run the transitive rules.
     pub call_graph: bool,
-    /// Analyze files in parallel (`geo_model::runtime::par_map_indexed`).
-    /// Output is byte-identical to the serial pass either way.
-    pub parallel: bool,
-}
-
-impl Default for CheckOptions {
-    fn default() -> Self {
-        CheckOptions {
-            call_graph: false,
-            parallel: true,
-        }
-    }
 }
 
 /// Checks every discovered file under `root`, returning the sorted report.
@@ -86,17 +74,11 @@ pub fn check_with(root: &Path, cfg: &Config, opts: CheckOptions) -> std::io::Res
     }
 
     // The per-file pass is pure, so the parallel map is safe and — because
-    // `par_map_indexed` returns results in index order — byte-identical to
-    // the serial loop.
-    let analyses: Vec<rules::FileAnalysis> = if opts.parallel {
-        geo_model::runtime::par_map_indexed(rels.len(), |i| {
-            rules::analyze_file(cfg, &rels[i], &srcs[i])
-        })
-    } else {
-        (0..rels.len())
-            .map(|i| rules::analyze_file(cfg, &rels[i], &srcs[i]))
-            .collect()
-    };
+    // `par_map_indexed` returns results in index order — byte-identical at
+    // any `IPGEO_THREADS`, serial at 1.
+    let analyses: Vec<rules::FileAnalysis> = geo_model::runtime::par_map_indexed(rels.len(), |i| {
+        rules::analyze_file(cfg, &rels[i], &srcs[i])
+    });
 
     let mut report = Report::default();
     let mut transitive = Vec::new();
@@ -138,6 +120,11 @@ pub fn check_with(root: &Path, cfg: &Config, opts: CheckOptions) -> std::io::Res
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// `IPGEO_THREADS` is process-global; the test that flips it must not
+    /// overlap the timed call-graph run.
+    static ENV_LOCK: Mutex<()> = Mutex::new(());
 
     fn repo_root() -> &'static Path {
         Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -165,15 +152,13 @@ mod tests {
     /// the 5 s CI budget.
     #[test]
     fn workspace_call_graph_is_clean() {
+        let _env = ENV_LOCK.lock().unwrap();
         #[allow(clippy::disallowed_methods)] // timing a test, not product code
         let t0 = std::time::Instant::now();
         let report = check_with(
             repo_root(),
             &Config::workspace(),
-            CheckOptions {
-                call_graph: true,
-                parallel: true,
-            },
+            CheckOptions { call_graph: true },
         )
         .expect("workspace scan");
         let elapsed = t0.elapsed();
@@ -191,24 +176,20 @@ mod tests {
         );
     }
 
-    /// Satellite: the parallel and serial passes must be byte-identical in
-    /// both renderings, call graph included.
+    /// The serial pass (`IPGEO_THREADS=1`) and an 8-worker pass must be
+    /// byte-identical in both renderings, call graph included.
     #[test]
     fn parallel_and_serial_reports_are_byte_identical() {
+        let _env = ENV_LOCK.lock().unwrap();
         let cfg = Config::workspace();
-        let mk = |parallel| {
-            check_with(
-                repo_root(),
-                &cfg,
-                CheckOptions {
-                    call_graph: true,
-                    parallel,
-                },
-            )
-            .expect("workspace scan")
+        let mk = |threads| {
+            std::env::set_var("IPGEO_THREADS", threads);
+            check_with(repo_root(), &cfg, CheckOptions { call_graph: true })
+                .expect("workspace scan")
         };
-        let par = mk(true);
-        let ser = mk(false);
+        let ser = mk("1");
+        let par = mk("8");
+        std::env::remove_var("IPGEO_THREADS");
         assert_eq!(par.render_human(), ser.render_human());
         assert_eq!(par.render_json(), ser.render_json());
     }

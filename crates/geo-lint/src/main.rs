@@ -1,4 +1,4 @@
-//! CLI: `geo-lint check [--json] [--call-graph] [--serial] [--root <dir>]`
+//! CLI: `geo-lint check [--json] [--call-graph] [--root <dir>]`
 //! and `geo-lint rules`.
 //!
 //! Exit codes: 0 clean (suppressions alone are fine), 1 diagnostics found,
@@ -10,8 +10,7 @@ use geo_lint::CheckOptions;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str =
-    "usage: geo-lint <check [--json] [--call-graph] [--serial] [--root <dir>] | rules>";
+const USAGE: &str = "usage: geo-lint <check [--json] [--call-graph] [--root <dir>] | rules>";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -39,7 +38,6 @@ fn run_check(args: &[String]) -> ExitCode {
         match a.as_str() {
             "--json" => json = true,
             "--call-graph" => opts.call_graph = true,
-            "--serial" => opts.parallel = false,
             "--root" => match it.next() {
                 Some(dir) => root = PathBuf::from(dir),
                 None => {
@@ -77,10 +75,9 @@ fn run_check(args: &[String]) -> ExitCode {
                 print!("{}", report.render_human());
             }
             eprintln!(
-                "geo-lint: wall time {:.3}s ({} mode{})",
+                "geo-lint: wall time {:.3}s{}",
                 t0.elapsed().as_secs_f64(),
-                if opts.parallel { "parallel" } else { "serial" },
-                if opts.call_graph { ", call-graph" } else { "" },
+                if opts.call_graph { " (call-graph)" } else { "" },
             );
             if report.is_clean() {
                 ExitCode::SUCCESS

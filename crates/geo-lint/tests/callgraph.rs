@@ -18,10 +18,7 @@ fn golden(name: &str) -> String {
 }
 
 fn check_transitive() -> geo_lint::report::Report {
-    let opts = CheckOptions {
-        call_graph: true,
-        ..CheckOptions::default()
-    };
+    let opts = CheckOptions { call_graph: true };
     geo_lint::check_with(&fixture("transitive"), &Config::workspace(), opts).unwrap()
 }
 

@@ -455,14 +455,6 @@ impl Region {
             tightest_radius: tightest.radius,
         })
     }
-
-    /// Points of this region's intersection boundary sampled for landmark
-    /// discovery: used by tests and by the street-level tier-2 stopping
-    /// rule ("the process stops when no points of a circle are within the
-    /// CBG region").
-    pub fn any_point_inside(&self, points: &[GeoPoint]) -> bool {
-        points.iter().any(|p| self.contains(p))
-    }
 }
 
 #[cfg(test)]

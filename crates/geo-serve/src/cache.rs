@@ -1,4 +1,5 @@
-//! A sharded hot-prefix cache layered over [`DatasetStore`] reads.
+//! A sharded hot-prefix cache layered over
+//! [`DatasetStore`](crate::DatasetStore) reads.
 //!
 //! Real query traffic is zipfian per prefix ("Lost in the Prefix"): a
 //! handful of `/24`s absorb most of the load. Every answer the server

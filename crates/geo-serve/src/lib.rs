@@ -4,8 +4,9 @@
 //! [`ipgeo::publish`] has assembled the accurate/complete/explainable
 //! dataset, this crate makes it *publishable and servable* —
 //!
-//! - [`format`] — the `.igds` versioned binary snapshot: checksummed,
-//!   column-oriented, byte-deterministic for a given world seed;
+//! - [`format`](mod@format) — the `.igds` versioned binary snapshot:
+//!   checksummed, column-oriented, byte-deterministic for a given world
+//!   seed;
 //! - [`store`] — [`DatasetStore`], an indexed read-only view answering
 //!   exact-`/24` and nearest-covering-prefix lookups by binary search,
 //!   with batch lookups fanned out over the workspace's deterministic

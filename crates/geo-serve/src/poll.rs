@@ -318,7 +318,7 @@ impl Poller {
     }
 
     /// Paces an idle sweep: spin for the first few, then sleep with
-    /// exponential backoff capped at [`MAX_IDLE_WAIT`]. Returns
+    /// exponential backoff capped at `MAX_IDLE_WAIT`. Returns
     /// immediately when a wake is pending.
     pub fn idle_wait(&mut self) {
         if self.wake_requested() {

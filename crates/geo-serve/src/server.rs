@@ -3,11 +3,12 @@
 //! Architecture (DESIGN.md §11, hardened in §14): a fixed pool of
 //! event-loop workers — sized from `IPGEO_THREADS` via
 //! [`geo_model::runtime::threads`] — each sweeping its own set of
-//! nonblocking connections registered in a [`poll::Registry`]. No thread
-//! is ever spawned per connection and no serving-path read blocks; the
-//! workspace denies `unsafe_code`, so the sweep is a safe-`std`
-//! readiness scan paced by [`poll::Poller`]'s adaptive idle backoff
-//! instead of an OS poller.
+//! nonblocking connections registered in a
+//! [`poll::Registry`](Registry). No thread is ever spawned per
+//! connection and no serving-path read blocks; the workspace denies
+//! `unsafe_code`, so the sweep is a safe-`std` readiness scan paced by
+//! [`poll::Poller`](Poller)'s adaptive idle backoff instead of an OS
+//! poller.
 //!
 //! Every connection speaks one of two protocols, chosen by its first
 //! byte ([`proto::REQ_MAGIC`] opens a binary conversation, anything else
@@ -34,12 +35,12 @@
 //! **Robustness layer** (the serve path must survive the open internet,
 //! not just a loopback loadgen):
 //!
-//! - every connection runs the [`lifecycle`] deadline state machine —
-//!   idle / stalled-read (anti-slow-loris) / slow-client (anti
-//!   slow-reader) evictions, driven by one [`ServeClock`] read per
+//! - every connection runs the [`lifecycle`](crate::lifecycle)
+//!   deadline state machine — idle / stalled-read (anti-slow-loris) /
+//!   slow-client (anti slow-reader) evictions, driven by one [`ServeClock`] read per
 //!   sweep and *no timer threads*;
 //! - request buffers are bounded by the budget shared with the binary
-//!   frame check ([`LINE_BUDGET`] = [`proto::MAX_BODY`]); a newline-free
+//!   frame check (`LINE_BUDGET` = [`proto::MAX_BODY`]); a newline-free
 //!   line past the budget is a typed `too-large` eviction, not memory
 //!   growth;
 //! - global + per-worker connection caps gate `accept`: a connection
@@ -60,10 +61,11 @@
 //! - graceful drain ([`QueryServer::shutdown_drain`]): stop accepting,
 //!   finish in-flight work up to [`ServeLimits::drain_grace_ms`], then
 //!   evict stragglers with a typed farewell;
-//! - connections idle for [`PARK_AFTER`] consecutive sweeps *and*
-//!   [`PARK_IDLE_MS`] of clock time are parked off the sweep
-//!   ([`poll::Registry::park`]) and lazily re-armed, so thousands of
-//!   idle connections cost ~no CPU while pipelined clients stay hot.
+//! - connections idle for `PARK_AFTER` consecutive sweeps *and*
+//!   `PARK_IDLE_MS` of clock time are parked off the sweep
+//!   ([`poll::Registry::park`](Registry::park)) and lazily re-armed, so
+//!   thousands of idle connections cost ~no CPU while pipelined clients
+//!   stay hot.
 //!
 //! **Determinism lives in responses, not scheduling**: frames and lines
 //! on one connection are processed in arrival order and answered in
@@ -78,8 +80,9 @@
 //!
 //! Hit/miss/connection/eviction counters are relaxed atomics (monotonic,
 //! no cross-counter invariant). Shutdown is the poller's wake token: one
-//! shared flag flipped by [`poll::Waker::wake`], observed by every
-//! worker at the top of its next sweep — no dummy wake-up connection.
+//! shared flag flipped by [`poll::Waker::wake`](Waker::wake), observed
+//! by every worker at the top of its next sweep — no dummy wake-up
+//! connection.
 
 use crate::cache::{CacheKind, CacheValue};
 use crate::format::method_tag;

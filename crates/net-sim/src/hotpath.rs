@@ -409,9 +409,9 @@ impl WorldLane {
 
 /// Memoized route synthesis and deterministic delay composition.
 ///
-/// All tables are lazily filled and shared across clones of a [`Network`]
-/// (`crate::Network`); racing fills recompute identical values, so the
-/// cache can never perturb a measurement. Every table is per host, per
+/// All tables are lazily filled and shared across clones of a
+/// [`Network`](crate::Network); racing fills recompute identical values,
+/// so the cache can never perturb a measurement. Every table is per host, per
 /// PoP, per AS or per (attach, transit AS): nothing grows with the number
 /// of host or attach pairs measured.
 #[derive(Debug)]

@@ -89,11 +89,6 @@ impl Network {
         self.seed
     }
 
-    /// The forward path from one endpoint to another.
-    pub fn forward_path(&self, world: &World, src: Endpoint, dst: Endpoint) -> Path {
-        route::synthesize(world, &self.params, src, dst)
-    }
-
     /// The deterministic (jitter-free, last-mile-free) round-trip time
     /// between two hosts: forward one-way plus reverse one-way delay.
     /// Memoized per unordered endpoint pair in the shared
@@ -233,9 +228,9 @@ impl Network {
     /// every target, written in place into a `sources × cols` matrix
     /// whose cells start NaN. `nonce(r, c)` keys the cell of source `r`
     /// and target `c`, `skip(r)` names a target column row `r` leaves out
-    /// (the mesh diagonal), and `emit(row, r, c, outcome)` stores target
-    /// `c`'s outcome in row `r`: at column `c`, or at any column of a
-    /// matrix wider than the target list.
+    /// (the mesh diagonal), and `emit(row, c, outcome)` stores target
+    /// `c`'s outcome in the source's row: at column `c`, or at any column
+    /// of a matrix wider than the target list.
     ///
     /// Rows run in [`Network::attach_group`] order, so the rows one
     /// worker fills back to back share its [`RowScratch`]; each row still
@@ -252,7 +247,7 @@ impl Network {
         count: usize,
         nonce: impl Fn(usize, usize) -> u64 + Sync,
         skip: impl Fn(usize) -> Option<usize> + Sync,
-        emit: impl Fn(&mut [T], usize, usize, PingOutcome) + Sync,
+        emit: impl Fn(&mut [T], usize, PingOutcome) + Sync,
     ) -> Matrix<T> {
         let lane = self.target_lane(world, targets);
         let mut order: Vec<usize> = (0..sources.len()).collect();
@@ -271,7 +266,7 @@ impl Network {
                     count,
                     |c| nonce(r, c),
                     skip(r),
-                    |c, out| emit(row, r, c, out),
+                    |c, out| emit(row, c, out),
                 );
             },
         )

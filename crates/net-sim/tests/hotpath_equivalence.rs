@@ -287,10 +287,9 @@ fn campaign_matches_ping_min() {
     let n = hosts.len();
 
     let nonce = |r: usize, c: usize| 0x3E5A ^ ((r as u64) << 20 | c as u64);
-    let mesh: DelayMatrix =
-        net.campaign(&w, &hosts, &hosts, n, 3, nonce, Some, |row, _, c, out| {
-            row[c] = DelayMatrix::cell(out.rtt());
-        });
+    let mesh: DelayMatrix = net.campaign(&w, &hosts, &hosts, n, 3, nonce, Some, |row, c, out| {
+        row[c] = DelayMatrix::cell(out.rtt());
+    });
     let wide: DelayMatrix = net.campaign(
         &w,
         &hosts,
@@ -299,7 +298,7 @@ fn campaign_matches_ping_min() {
         3,
         nonce,
         |_| None,
-        |row, _, c, out| row[2 * c + 1] = DelayMatrix::cell(out.rtt()),
+        |row, c, out| row[2 * c + 1] = DelayMatrix::cell(out.rtt()),
     );
     assert_eq!((mesh.rows(), mesh.cols()), (n, n));
     assert_eq!((wide.rows(), wide.cols()), (n, 2 * n + 1));

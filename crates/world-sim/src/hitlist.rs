@@ -7,7 +7,7 @@
 //! pipeline falls back to random addresses in the /24 (which time out),
 //! exactly as the paper reports for 8 of its targets.
 
-use crate::host::{Host, HostKind, HostPopulation};
+use crate::host::{HostKind, HostPopulation};
 use crate::ids::HostId;
 use geo_model::ip::{Ipv4, Prefix24};
 use rand::Rng;
@@ -138,14 +138,6 @@ impl Hitlist {
     pub fn entries(&self, prefix: Prefix24) -> &[HitlistEntry] {
         self.per_prefix.get(&prefix).map_or(&[], Vec::as_slice)
     }
-}
-
-/// Convenience: resolves entries to hosts.
-pub fn hosts_of<'a>(entries: &[HitlistEntry], hosts: &'a [Host]) -> Vec<&'a Host> {
-    entries
-        .iter()
-        .filter_map(|e| e.host.map(|id| &hosts[id.index()]))
-        .collect()
 }
 
 #[cfg(test)]

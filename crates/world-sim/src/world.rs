@@ -258,11 +258,6 @@ impl World {
         self.anchors.iter().map(move |id| self.host(*id))
     }
 
-    /// The probe hosts.
-    pub fn probe_hosts(&self) -> impl Iterator<Item = &Host> {
-        self.probes.iter().map(move |id| self.host(*id))
-    }
-
     /// The representatives of the anchor at position `idx` in `anchors`.
     pub fn representatives_of(&self, idx: usize) -> &[HostId] {
         &self.representatives[idx]

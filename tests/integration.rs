@@ -98,25 +98,18 @@ fn shortest_ping_vs_cbg() {
     assert!(cbg_err < 500.0, "cbg err {cbg_err}");
 }
 
-/// Platform accounting: a realistic campaign spends credits and virtual
-/// time in the expected proportions.
+/// Platform accounting: the anchor-mesh download charges 3 credits per
+/// ordered pair and one API round trip of virtual time.
 #[test]
 fn platform_accounting_end_to_end() {
     let (w, net) = setup();
     let mut platform = Platform::new(CreditAccount::new(1_000_000));
-    let vps: Vec<_> = w.probes.iter().copied().take(100).collect();
-    let target = w.host(w.anchors[2]).ip;
-
-    let before = platform.credits().balance();
-    let batch = platform.ping_from(&w, &net, &vps, target).expect("batch");
-    assert_eq!(before - platform.credits().balance(), 300); // 100 VPs * 3 packets
-    assert!(batch.duration().as_secs() > 30.0);
-
-    let tr = platform
-        .traceroute_from(&w, &net, &vps[..10], target)
-        .expect("traceroutes");
-    assert_eq!(tr.results.len(), 10);
-    assert_eq!(platform.credits().spent(), 300 + 100);
+    platform
+        .anchor_mesh(&w, &net, &w.anchors[..20])
+        .expect("mesh");
+    assert_eq!(platform.credits().spent(), 20 * 19 * 3);
+    assert_eq!(platform.credits().balance(), 1_000_000 - 20 * 19 * 3);
+    assert!(platform.clock().now_secs() > 30.0);
 }
 
 /// The same seed reproduces the same full pipeline outcome; a different
