@@ -52,5 +52,5 @@ pub mod street;
 pub mod two_step;
 
 pub use cbg::{cbg, shortest_ping, vp_measurements, CbgResult, VpMeasurement};
-pub use resilient::{CampaignReport, Resilience, RetryPolicy, TargetLog};
+pub use resilient::{CampaignReport, Resilience, TargetLog};
 pub use sanitize::{sanitize_anchors, sanitize_probes, SanitizeReport};

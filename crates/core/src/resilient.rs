@@ -5,9 +5,9 @@
 //! defense layer every driver routes its measurements through:
 //!
 //! - **bounded retries** — a batch that fails transiently is retried at
-//!   most [`RetryPolicy::max_attempts`] times (geo-lint R3 forbids
-//!   unbounded retry loops), with deterministic exponential backoff
-//!   accounted in *virtual* seconds;
+//!   most `MAX_ATTEMPTS` times (geo-lint R3 forbids unbounded retry
+//!   loops), with deterministic exponential backoff accounted in
+//!   *virtual* seconds;
 //! - **partial-result tolerance** — a batch is accepted once at least
 //!   `required(n)` of the `n` requested vantage points delivered, and the
 //!   lost constraints are recorded rather than silently ignored;
@@ -33,82 +33,55 @@ use std::fmt;
 use world_sim::ids::HostId;
 use world_sim::World;
 
-/// How hard the executor fights for a batch before degrading.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RetryPolicy {
-    /// Attempts per batch, including the first (bounded by construction).
-    pub max_attempts: u32,
-    /// Backoff before the first retry, virtual seconds.
-    pub backoff_base_secs: f64,
-    /// Multiplier per further retry (exponential backoff).
-    pub backoff_factor: f64,
-    /// Fraction of requested vantage points that must answer for a batch
-    /// to count as delivered.
-    pub min_answered_fraction: f64,
-    /// Absolute floor on answered vantage points (dominates the fraction
-    /// for small batches).
-    pub min_answered: usize,
+// How hard the executor fights for a batch before degrading.
+
+/// Attempts per batch, including the first (bounded by construction).
+const MAX_ATTEMPTS: u32 = 4;
+/// Backoff before the first retry, virtual seconds.
+const BACKOFF_BASE_SECS: f64 = 30.0;
+/// Multiplier per further retry (exponential backoff).
+const BACKOFF_FACTOR: f64 = 2.0;
+/// Fraction of requested vantage points that must answer for a batch to
+/// count as delivered.
+const MIN_ANSWERED_FRACTION: f64 = 0.5;
+/// Absolute floor on answered vantage points (dominates the fraction for
+/// small batches).
+const MIN_ANSWERED: usize = 1;
+
+/// Results required before an `n`-VP batch is accepted:
+/// `MIN_ANSWERED_FRACTION` of `n`, at least `MIN_ANSWERED`, never more
+/// than `n`.
+fn required(n: usize) -> usize {
+    if n == 0 {
+        return 0;
+    }
+    let frac = (n as f64 * MIN_ANSWERED_FRACTION).ceil() as usize;
+    frac.max(MIN_ANSWERED).min(n)
 }
 
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 4,
-            backoff_base_secs: 30.0,
-            backoff_factor: 2.0,
-            min_answered_fraction: 0.5,
-            min_answered: 1,
-        }
-    }
+/// Backoff before retry number `retry` (0-based), virtual seconds.
+fn backoff_secs(retry: u32) -> f64 {
+    BACKOFF_BASE_SECS * BACKOFF_FACTOR.powi(retry as i32)
 }
 
-impl RetryPolicy {
-    /// Results required before an `n`-VP batch is accepted: the configured
-    /// fraction of `n`, at least `min_answered`, never more than `n`.
-    pub fn required(&self, n: usize) -> usize {
-        if n == 0 {
-            return 0;
-        }
-        let frac = (n as f64 * self.min_answered_fraction).ceil() as usize;
-        frac.max(self.min_answered).min(n)
-    }
-
-    /// Backoff before retry number `retry` (0-based), virtual seconds.
-    pub fn backoff_secs(&self, retry: u32) -> f64 {
-        self.backoff_base_secs * self.backoff_factor.powi(retry as i32)
-    }
-}
-
-/// The executor's configuration: an optional fault plan plus the policy.
+/// The executor's configuration: an optional fault plan.
 #[derive(Debug, Clone)]
 pub struct Resilience<'a> {
     plan: Option<&'a FaultPlan>,
-    policy: RetryPolicy,
 }
 
 impl Resilience<'static> {
     /// No fault plan: batches take the direct path and are byte-identical
     /// to the pre-executor drivers.
     pub fn none() -> Resilience<'static> {
-        Resilience {
-            plan: None,
-            policy: RetryPolicy::default(),
-        }
+        Resilience { plan: None }
     }
 }
 
 impl<'a> Resilience<'a> {
     /// An executor subjected to `plan`.
     pub fn with_plan(plan: &'a FaultPlan) -> Resilience<'a> {
-        Resilience {
-            plan: Some(plan),
-            policy: RetryPolicy::default(),
-        }
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
+        Resilience { plan: Some(plan) }
     }
 
     /// The plan, if it can actually fire.
@@ -443,17 +416,17 @@ fn run_batch<R: Clone>(
         return;
     };
 
-    let required = res.policy.required(n);
+    let required = required(n);
     // One churn window per batch: backoff is short next to a churn window,
     // so a probe that is down stays down for the whole batch.
     let window = splitmix64(batch_key ^ 0xC0FF_EE11);
     let mut best: Vec<(HostId, R)> = Vec::new();
 
-    for attempt in 0..res.policy.max_attempts {
+    for attempt in 0..MAX_ATTEMPTS {
         log.attempts += 1;
         if attempt > 0 {
             log.retries += 1;
-            log.backoff_secs += res.policy.backoff_secs(attempt - 1);
+            log.backoff_secs += backoff_secs(attempt - 1);
         }
         log.credits.charged += n as u64 * per_vp_cost;
         let call = splitmix64(batch_key ^ splitmix64(0x0A11_C0DE ^ attempt as u64));
@@ -539,25 +512,18 @@ mod tests {
 
     #[test]
     fn required_respects_fraction_and_floor() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.required(0), 0);
-        assert_eq!(p.required(1), 1);
-        assert_eq!(p.required(2), 1);
-        assert_eq!(p.required(10), 5);
-        assert_eq!(p.required(11), 6);
-        let strict = RetryPolicy {
-            min_answered_fraction: 1.0,
-            ..RetryPolicy::default()
-        };
-        assert_eq!(strict.required(10), 10);
+        assert_eq!(required(0), 0);
+        assert_eq!(required(1), 1);
+        assert_eq!(required(2), 1);
+        assert_eq!(required(10), 5);
+        assert_eq!(required(11), 6);
     }
 
     #[test]
     fn backoff_is_exponential() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.backoff_secs(0), 30.0);
-        assert_eq!(p.backoff_secs(1), 60.0);
-        assert_eq!(p.backoff_secs(2), 120.0);
+        assert_eq!(backoff_secs(0), 30.0);
+        assert_eq!(backoff_secs(1), 60.0);
+        assert_eq!(backoff_secs(2), 120.0);
     }
 
     #[test]
@@ -635,7 +601,7 @@ mod tests {
         let mut log = TargetLog::default();
         let batch = ping_batch(&w, &net, &res, &vps, target, 3, 1, &mut log);
         assert!(batch.is_empty());
-        assert_eq!(log.attempts, u64::from(res.policy().max_attempts));
+        assert_eq!(log.attempts, u64::from(MAX_ATTEMPTS));
         assert_eq!(log.retries, log.attempts - 1);
         assert_eq!(log.failed_batches, 1);
         assert_eq!(log.delivered, 0);

@@ -9,37 +9,35 @@
 //!
 //! | rule | violation |
 //! |------|-----------|
-//! | `D1` | wall-clock / ambient entropy in deterministic crates |
+//! | `D1` | wall-clock / ambient entropy in deterministic crates, or reachable from them |
 //! | `D2` | iteration over `HashMap`/`HashSet` outside sort-then-iterate |
 //! | `D3` | RNG construction bypassing `geo_model::rng` seeding |
-//! | `R1` | `unwrap`/`expect`/`panic!` in `geo-serve` serving paths |
+//! | `R1` | `unwrap`/`expect`/`panic!` in `geo-serve` serving paths; any panic or indexing reachable from a `// geo-lint: serve-entry` fn |
 //! | `R2` | `static mut` / `unsafe impl` shared mutable state |
+//! | `R3` | retry loops over `ApiFault`s without bounded attempts |
+//! | `R4` | `thread::spawn` / blocking reads in serving paths, or reachable from them; a lock held across a write |
 //! | `R5` | unbounded buffer growth (`read_to_end`, budget-less read loops) in serving paths |
-//! | `P1` | heap allocation inside a `// geo-lint: hot-path` function |
+//! | `P1` | heap allocation inside a `// geo-lint: hot-path` function or its callees |
+//! | `L1` | lock-acquisition-order cycle between mutex classes |
 //! | `X1` | malformed or unknown `geo-lint: allow(...)` directive |
 //! | `X2` | stale allow (suppresses nothing, or allows an unchecked rule) |
 //!
-//! With `--call-graph` the per-file rules gain interprocedural siblings.
-//! An item-level parser (`parser`) extracts every `fn` with its calls
-//! and sinks, a best-effort resolver (`callgraph`) links them across
-//! crates, and a reachability engine (`reach`) walks the graph:
+//! D2, D3, R2, R3 and R5 scan one file's tokens (`rules`). The others read
+//! an item-level parser (`parser`), which extracts every `fn` with its
+//! calls and sinks, over a best-effort cross-crate call graph
+//! (`callgraph`): each of D1, R1, R4 and P1 flags a sink inside its own
+//! scope directly, and one outside it when a reachability walk (`reach`)
+//! gets there from the rule's roots.
 //!
-//! | rule  | violation |
-//! |-------|-----------|
-//! | `R1T` | panic/indexing reachable from a `// geo-lint: serve-entry` fn |
-//! | `R4T` | blocking construct / lock-across-write reachable from serving |
-//! | `D1T` | clock/entropy reachable from a deterministic crate |
-//! | `P1T` | allocation in callees of `// geo-lint: hot-path` functions |
-//! | `L1`  | lock-acquisition-order cycle between mutex classes |
-//!
-//! Every transitive finding carries its witness call chain, and calls the
+//! Every reachable finding carries its witness call chain, and calls the
 //! resolver could not pin down are *reported* (never silently treated as
 //! safe). A violation is suppressed with an inline
 //! `// geo-lint: allow(<rule>, reason = "...")` on the offending line (or
-//! on its own line directly above; for transitive rules, above the sink's
-//! `fn` to scope the allow to the whole function); every suppression is
-//! recorded in the report. The tool is dependency-free — a hand-rolled
-//! lexer, no registry crates — and runs as `cargo run -p geo-lint -- check`.
+//! on its own line directly above; for a reachable finding, above the
+//! sink's `fn` to scope the allow to the whole function); every
+//! suppression is recorded in the report. The tool is dependency-free — a
+//! hand-rolled lexer, no registry crates — and runs as
+//! `cargo run -p geo-lint -- check`.
 
 pub(crate) mod callgraph;
 pub mod lexer;
@@ -50,51 +48,43 @@ pub mod rules;
 pub mod walk;
 
 use report::{GraphSummary, Report, UnresolvedCall};
-use rules::Config;
+use std::collections::BTreeMap;
 use std::path::Path;
 
-/// Knobs for a check run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CheckOptions {
-    /// Build the workspace call graph and run the transitive rules.
-    pub call_graph: bool,
-}
-
 /// Checks every discovered file under `root`, returning the sorted report.
-pub fn check(root: &Path, cfg: &Config) -> std::io::Result<Report> {
-    check_with(root, cfg, CheckOptions::default())
+pub fn check(root: &Path) -> std::io::Result<Report> {
+    let mut files = Vec::new();
+    for rel in walk::discover(root)? {
+        let src = std::fs::read_to_string(root.join(&rel))?;
+        files.push((rel, src));
+    }
+    Ok(lint(&files, &callgraph::crate_idents(root)))
 }
 
-/// [`check`], with explicit options.
-pub fn check_with(root: &Path, cfg: &Config, opts: CheckOptions) -> std::io::Result<Report> {
-    let rels = walk::discover(root, cfg)?;
-    let mut srcs: Vec<String> = Vec::with_capacity(rels.len());
-    for rel in &rels {
-        srcs.push(std::fs::read_to_string(root.join(rel))?);
-    }
-
+/// Lints `files` — `(root-relative path, source)` pairs in path order — as
+/// one workspace whose crate directories map to lib identifiers through
+/// `crate_idents` (missing ones fall back to the directory name).
+pub(crate) fn lint(files: &[(String, String)], crate_idents: &BTreeMap<String, String>) -> Report {
     // The per-file pass is pure, so the parallel map is safe and — because
     // `par_map_indexed` returns results in index order — byte-identical at
     // any `IPGEO_THREADS`, serial at 1.
-    let analyses: Vec<rules::FileAnalysis> = geo_model::runtime::par_map_indexed(rels.len(), |i| {
-        rules::analyze_file(cfg, &rels[i], &srcs[i])
-    });
+    let analyses: Vec<rules::FileAnalysis> =
+        geo_model::runtime::par_map_indexed(files.len(), |i| {
+            rules::analyze_file(&files[i].0, &files[i].1)
+        });
 
-    let mut report = Report::default();
-    let mut transitive = Vec::new();
-    if opts.call_graph {
-        let idents = callgraph::crate_idents(root);
-        let inputs: Vec<callgraph::FileInput<'_>> = analyses
-            .iter()
-            .map(|a| callgraph::FileInput {
-                rel: &a.rel,
-                parsed: &a.parsed,
-            })
-            .collect();
-        let graph = callgraph::build(&inputs, &idents);
-        let outcome = reach::analyze(cfg, &graph);
-        transitive = outcome.findings;
-        report.unresolved = outcome
+    let inputs: Vec<callgraph::FileInput<'_>> = analyses
+        .iter()
+        .map(|a| callgraph::FileInput {
+            rel: &a.rel,
+            parsed: &a.parsed,
+        })
+        .collect();
+    let graph = callgraph::build(&inputs, crate_idents);
+    let outcome = reach::analyze(&graph, &inputs);
+
+    let mut report = Report {
+        unresolved: outcome
             .unresolved
             .into_iter()
             .map(|u| UnresolvedCall {
@@ -104,17 +94,17 @@ pub fn check_with(root: &Path, cfg: &Config, opts: CheckOptions) -> std::io::Res
                 line: u.line,
                 why: u.why,
             })
-            .collect();
-        report.graph = Some(GraphSummary {
+            .collect(),
+        graph: GraphSummary {
             functions: outcome.functions,
             edges: outcome.edges,
             unresolved: outcome.unresolved_total,
-        });
-    }
-
-    rules::merge(cfg, analyses, transitive, opts.call_graph, &mut report);
+        },
+        ..Report::default()
+    };
+    rules::merge(analyses, outcome.findings, &mut report);
     report.sort();
-    Ok(report)
+    report
 }
 
 #[cfg(test)]
@@ -123,7 +113,7 @@ mod tests {
     use std::sync::Mutex;
 
     /// `IPGEO_THREADS` is process-global; the test that flips it must not
-    /// overlap the timed call-graph run.
+    /// overlap the timed workspace run.
     static ENV_LOCK: Mutex<()> = Mutex::new(());
 
     fn repo_root() -> &'static Path {
@@ -133,41 +123,24 @@ mod tests {
             .expect("crate lives at <root>/crates/geo-lint")
     }
 
-    /// The real workspace must stay clean: this is the same gate CI runs,
-    /// enforced from the tier-1 test suite so a violating change cannot
-    /// land even when CI is skipped.
+    /// The real workspace must stay clean: the same gate CI runs, enforced
+    /// from the tier-1 test suite so a violating change cannot land even
+    /// when CI is skipped. The graph must be of credible size and the
+    /// whole run must fit the 5 s CI budget.
     #[test]
-    fn workspace_is_clean() {
-        let report = check(repo_root(), &Config::workspace()).expect("workspace scan");
+    fn workspace_call_graph_is_clean() {
+        let _env = ENV_LOCK.lock().unwrap();
+        #[allow(clippy::disallowed_methods)] // timing a test, not product code
+        let t0 = std::time::Instant::now();
+        let report = check(repo_root()).expect("workspace scan");
+        let elapsed = t0.elapsed();
         assert!(report.files_scanned > 50, "suspiciously few files scanned");
         assert!(
             report.is_clean(),
             "geo-lint violations in the workspace:\n{}",
             report.render_human()
         );
-    }
-
-    /// The call-graph gate: zero unsuppressed transitive findings in the
-    /// real tree, a graph of credible size, and a total wall time under
-    /// the 5 s CI budget.
-    #[test]
-    fn workspace_call_graph_is_clean() {
-        let _env = ENV_LOCK.lock().unwrap();
-        #[allow(clippy::disallowed_methods)] // timing a test, not product code
-        let t0 = std::time::Instant::now();
-        let report = check_with(
-            repo_root(),
-            &Config::workspace(),
-            CheckOptions { call_graph: true },
-        )
-        .expect("workspace scan");
-        let elapsed = t0.elapsed();
-        assert!(
-            report.is_clean(),
-            "transitive geo-lint violations in the workspace:\n{}",
-            report.render_human()
-        );
-        let g = report.graph.expect("graph summary present");
+        let g = report.graph;
         assert!(g.functions > 100, "suspiciously small graph: {g:?}");
         assert!(g.edges > 100, "suspiciously few edges: {g:?}");
         assert!(
@@ -181,11 +154,9 @@ mod tests {
     #[test]
     fn parallel_and_serial_reports_are_byte_identical() {
         let _env = ENV_LOCK.lock().unwrap();
-        let cfg = Config::workspace();
         let mk = |threads| {
             std::env::set_var("IPGEO_THREADS", threads);
-            check_with(repo_root(), &cfg, CheckOptions { call_graph: true })
-                .expect("workspace scan")
+            check(repo_root()).expect("workspace scan")
         };
         let ser = mk("1");
         let par = mk("8");

@@ -1,16 +1,14 @@
-//! CLI: `geo-lint check [--json] [--call-graph] [--root <dir>]`
-//! and `geo-lint rules`.
+//! CLI: `geo-lint check [--json] [--root <dir>]` and `geo-lint rules`.
 //!
 //! Exit codes: 0 clean (suppressions alone are fine), 1 diagnostics found,
 //! 2 usage or I/O error. Wall time goes to stderr so piped `--json` output
 //! stays valid JSON.
 
-use geo_lint::rules::{Config, RULES};
-use geo_lint::CheckOptions;
+use geo_lint::rules::RULES;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: geo-lint <check [--json] [--call-graph] [--root <dir>] | rules>";
+const USAGE: &str = "usage: geo-lint <check [--json] [--root <dir>] | rules>";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -31,13 +29,11 @@ fn main() -> ExitCode {
 
 fn run_check(args: &[String]) -> ExitCode {
     let mut json = false;
-    let mut opts = CheckOptions::default();
     let mut root = PathBuf::from(".");
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--json" => json = true,
-            "--call-graph" => opts.call_graph = true,
             "--root" => match it.next() {
                 Some(dir) => root = PathBuf::from(dir),
                 None => {
@@ -67,18 +63,14 @@ fn run_check(args: &[String]) -> ExitCode {
 
     #[allow(clippy::disallowed_methods)] // CLI wall-time, not simulation code
     let t0 = std::time::Instant::now();
-    match geo_lint::check_with(&root, &Config::workspace(), opts) {
+    match geo_lint::check(&root) {
         Ok(report) => {
             if json {
                 print!("{}", report.render_json());
             } else {
                 print!("{}", report.render_human());
             }
-            eprintln!(
-                "geo-lint: wall time {:.3}s{}",
-                t0.elapsed().as_secs_f64(),
-                if opts.call_graph { " (call-graph)" } else { "" },
-            );
+            eprintln!("geo-lint: wall time {:.3}s", t0.elapsed().as_secs_f64());
             if report.is_clean() {
                 ExitCode::SUCCESS
             } else {

@@ -3,10 +3,12 @@
 //! rule-relevant "sink" constructs inside each function body.
 //!
 //! This is deliberately not a full Rust parser. It tracks exactly the
-//! structure the call-graph rules need: which function a token belongs to,
+//! structure the graph rules need: which function a token belongs to,
 //! what that function calls, and which panicking / blocking / clock /
-//! allocating constructs its body contains. Everything it cannot classify
-//! is preserved as an unresolved call downstream, never silently dropped.
+//! allocating constructs its body contains. It is the only detector of
+//! those constructs: D1, R1, R4 and P1 read nothing else. Everything it
+//! cannot classify is preserved as an unresolved call downstream, never
+//! silently dropped.
 
 use crate::lexer::{Comment, Token, TokenKind};
 
@@ -47,9 +49,9 @@ pub(crate) enum SinkKind {
     Clock,
     /// Heap allocation (`Vec::new`, `vec!`, `.collect()`, …).
     Alloc,
-    /// `.lock(…)` — a mutex acquisition (for R4T/L1).
+    /// `.lock(…)` — a mutex acquisition (for R4/L1).
     LockAcquire,
-    /// `.write(…)` / `.write_all(…)` — a socket/stream write (for R4T).
+    /// `.write(…)` / `.write_all(…)` — a socket/stream write (for R4).
     Write,
 }
 
@@ -101,6 +103,9 @@ pub(crate) struct ParsedFile {
     pub imports: Vec<(String, Vec<String>)>,
     /// `use path::*` glob prefixes.
     pub globs: Vec<Vec<String>>,
+    /// Clock sinks outside every fn body (imports, statics, signatures).
+    /// D1 flags them in deterministic crates; no graph node owns them.
+    pub item_clocks: Vec<Sink>,
 }
 
 /// Marker comment spellings the parser attaches to functions.
@@ -123,7 +128,10 @@ fn plain(name: &str) -> &str {
     name.strip_prefix("r#").unwrap_or(name)
 }
 
-/// Allocating constructors/macros/chain methods, mirrored from the P1 rule.
+/// Wall-clock and ambient-entropy identifiers (D1), called or not.
+const CLOCK_IDENTS: &[&str] = &["SystemTime", "UNIX_EPOCH", "thread_rng", "from_entropy"];
+
+/// Allocating constructors/macros/chain methods (P1).
 const ALLOC_CTOR_TYPES: &[&str] = &[
     "Vec", "String", "Box", "VecDeque", "BTreeMap", "BTreeSet", "HashMap", "HashSet",
 ];
@@ -231,7 +239,9 @@ pub(crate) fn parse(code: &[Token], comments: &[Comment]) -> ParsedFile {
                         i += 1;
                     }
                     "use" if !in_fn => {
-                        i = parse_use(code, i + 1, &mut out);
+                        let end = parse_use(code, i + 1, &mut out);
+                        item_clocks(code, i + 1..end, &mut out);
+                        i = end;
                         pending_item_line = None;
                     }
                     "mod"
@@ -247,6 +257,7 @@ pub(crate) fn parse(code: &[Token], comments: &[Comment]) -> ParsedFile {
                         let (ty, brace) = parse_impl_header(code, i);
                         match brace {
                             Some(b) => {
+                                item_clocks(code, i + 1..b, &mut out);
                                 pending_scope = Some(ScopeKind::Impl(ty));
                                 pending_item_line = None;
                                 i = b; // land on `{`
@@ -257,6 +268,9 @@ pub(crate) fn parse(code: &[Token], comments: &[Comment]) -> ParsedFile {
                     "fn" => {
                         match parse_fn_header(code, i) {
                             Some((name, body_brace)) => {
+                                // A signature belongs to no body: its
+                                // clock types are item-level.
+                                item_clocks(code, i + 1..body_brace, &mut out);
                                 let item_line = pending_item_line.take().unwrap_or(t.line);
                                 let idx = out.fns.len();
                                 out.fns.push(FnItem {
@@ -279,7 +293,10 @@ pub(crate) fn parse(code: &[Token], comments: &[Comment]) -> ParsedFile {
                     _ if in_fn => {
                         i = detect_call_or_sink(code, i, &scopes, &mut out);
                     }
-                    _ => i += 1,
+                    _ => {
+                        item_clocks(code, i..i + 1, &mut out);
+                        i += 1;
+                    }
                 }
             }
             _ => i += 1,
@@ -288,6 +305,33 @@ pub(crate) fn parse(code: &[Token], comments: &[Comment]) -> ParsedFile {
 
     attach_markers(&mut out, comments);
     out
+}
+
+/// The clock sink's `what` when `code[i]` starts a clock identifier.
+fn clock_at(code: &[Token], i: usize) -> Option<String> {
+    let name = plain(code[i].ident()?);
+    if CLOCK_IDENTS.contains(&name) {
+        return Some(format!("`{name}`"));
+    }
+    let now = name == "Instant"
+        && code.get(i + 1).is_some_and(|x| x.is_punct(':'))
+        && code.get(i + 2).is_some_and(|x| x.is_punct(':'))
+        && code.get(i + 3).is_some_and(|x| x.is_ident("now"));
+    now.then(|| "`Instant::now()`".to_string())
+}
+
+/// Records the clock identifiers in `range`, which no fn body owns.
+fn item_clocks(code: &[Token], range: std::ops::Range<usize>, out: &mut ParsedFile) {
+    for k in range {
+        if let Some(what) = clock_at(code, k) {
+            out.item_clocks.push(Sink {
+                kind: SinkKind::Clock,
+                line: code[k].line,
+                order: k,
+                what,
+            });
+        }
+    }
 }
 
 /// The innermost enclosing fn index, if any.
@@ -517,19 +561,8 @@ fn detect_call_or_sink(code: &[Token], i: usize, scopes: &[Scope], out: &mut Par
         });
     };
 
-    // Clock/entropy identifiers (mirrors D1, call or not).
-    match name {
-        "SystemTime" | "UNIX_EPOCH" | "thread_rng" | "from_entropy" => {
-            push_sink(out, SinkKind::Clock, format!("`{name}`"));
-        }
-        "Instant"
-            if next_is(1, ':')
-                && next_is(2, ':')
-                && code.get(i + 3).is_some_and(|x| x.is_ident("now")) =>
-        {
-            push_sink(out, SinkKind::Clock, "`Instant::now()`".into());
-        }
-        _ => {}
+    if let Some(what) = clock_at(code, i) {
+        push_sink(out, SinkKind::Clock, what);
     }
 
     // Macros: `name!…`.
@@ -626,9 +659,11 @@ fn detect_call_or_sink(code: &[Token], i: usize, scopes: &[Scope], out: &mut Par
     // (Non-call paths return early above and rescan segment by segment,
     // which catches value constants like `std::time::UNIX_EPOCH`.) Paths
     // whose *head* segment is the clock identifier already fired above.
-    if let Some(p) = segs.iter().skip(1).position(|s| {
-        s == "SystemTime" || s == "UNIX_EPOCH" || s == "thread_rng" || s == "from_entropy"
-    }) {
+    if let Some(p) = segs
+        .iter()
+        .skip(1)
+        .position(|s| CLOCK_IDENTS.contains(&s.as_str()))
+    {
         let what = format!("`{}`", segs[p + 1]);
         push_sink(out, SinkKind::Clock, what);
     } else if segs.len() >= 2
@@ -688,7 +723,7 @@ fn detect_index(code: &[Token], i: usize, scopes: &[Scope], out: &mut ParsedFile
 }
 
 /// Attaches `geo-lint:` markers to the first fn whose signature starts
-/// within 8 lines below the marker comment (mirrors the P1/R4 window).
+/// within 8 lines below the marker comment.
 fn attach_markers(out: &mut ParsedFile, comments: &[Comment]) {
     for c in comments {
         let anchored = c.text.trim_start_matches(['/', '!', '*']).trim_start();

@@ -1,40 +1,48 @@
-//! Interprocedural reachability rules over the call graph.
+//! The graph rules: D1, R1, R4 and P1 over the parser's sinks, plus L1.
 //!
-//! Multi-source BFS from each rule's root set, with parent pointers so
-//! every finding carries the *shortest* witness call chain from a root to
-//! the sink's function. All traversal orders are index-based over
-//! deterministically-ordered nodes/edges, so reports are byte-stable.
+//! Each of D1, R1, R4 and P1 has two parts, and every sink falls under at
+//! most one of them:
 //!
-//! | rule  | roots                                   | sinks                         |
-//! |-------|------------------------------------------|-------------------------------|
-//! | `R1T` | `// geo-lint: serve-entry` fns           | panic family + `expr[…]`      |
-//! | `R4T` | `// geo-lint: serve-entry` fns           | spawn/blocking reads, lock-across-write |
-//! | `D1T` | every `src/` fn of clock-sensitive crates| wall clock / ambient entropy  |
-//! | `P1T` | `// geo-lint: hot-path` fns              | heap allocation in callees    |
-//! | `L1`  | —                                        | lock-acquisition-order cycles |
+//! - the **direct** part flags a sink inside the rule's own scope. Its
+//!   finding has no chain and is suppressed on its line only;
+//! - the **reachable** part flags a sink outside that scope whose function
+//!   a multi-source BFS reaches from the rule's roots. Parent pointers give
+//!   the finding the *shortest* witness call chain from a root, and an
+//!   allow above the sink's `fn` covers the whole function.
 //!
-//! Sinks already covered by the corresponding per-file rule (R1/R4/D1/P1)
-//! are skipped, so a site is reported exactly once, by exactly one rule.
+//! All traversal orders are index-based over deterministically-ordered
+//! nodes/edges, so reports are byte-stable.
+//!
+//! | rule | direct scope | roots | sinks |
+//! |------|--------------|-------|-------|
+//! | `D1` | `src/` of deterministic crates, fn bodies and items | every `src/` fn of clock-sensitive crates | wall clock / ambient entropy |
+//! | `R1` | `src/` of server crates | `// geo-lint: serve-entry` fns there | panic family; `expr[…]` (reachable only) |
+//! | `R4` | same, minus `// geo-lint: worker-bootstrap` fns | same | spawn/blocking reads; lock-across-write (reachable only) |
+//! | `P1` | `// geo-lint: hot-path` fns of hot-path crates | those fns | heap allocation |
+//! | `L1` | — | — | lock-acquisition-order cycles |
 
-use crate::callgraph::{self, Graph};
+use crate::callgraph::{self, FileInput, FnNode, Graph};
 use crate::parser::SinkKind;
-use crate::rules::Config;
+use crate::rules::{
+    in_src_of, CLOCK_ROOT_CRATES, DETERMINISTIC_CRATES, HOT_PATH_CRATES, SERVER_CRATES,
+};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-/// One transitive finding, pre-snippet (the merge pass fills snippets and
+/// One graph-rule finding, pre-snippet (the merge pass fills snippets and
 /// applies allows).
 #[derive(Debug)]
-pub(crate) struct TransFinding {
+pub(crate) struct Finding {
     pub rule: &'static str,
     pub file: String,
     pub line: usize,
     pub rationale: String,
-    /// Witness call chain, root first, sink function last.
+    /// Witness call chain, root first, sink function last; empty for a
+    /// direct finding.
     pub chain: Vec<String>,
-    /// Allow-scope window of the sink's function: a standalone allow whose
-    /// target line falls in `[item_line, sig_line]` suppresses fn-wide.
-    pub fn_item_line: usize,
-    pub fn_sig_line: usize,
+    /// Allow-scope window `[item_line, sig_line]` of the sink's function:
+    /// a standalone allow targeting a line inside it suppresses fn-wide.
+    /// `None` for a direct finding, which only its line's allow covers.
+    pub fn_window: Option<(usize, usize)>,
 }
 
 /// An unresolved call that is reachable from at least one rule root — the
@@ -49,66 +57,40 @@ pub(crate) struct ReachableUnresolved {
 }
 
 pub(crate) struct Outcome {
-    pub findings: Vec<TransFinding>,
+    pub findings: Vec<Finding>,
     pub unresolved: Vec<ReachableUnresolved>,
     pub functions: usize,
     pub edges: usize,
     pub unresolved_total: usize,
 }
 
-/// Runs every transitive rule over the graph.
-pub(crate) fn analyze(cfg: &Config, graph: &Graph) -> Outcome {
-    let mut findings: Vec<TransFinding> = Vec::new();
+/// Runs every graph rule. `files` are the inputs `graph` was built from;
+/// D1 also reads their item-level clock sinks.
+pub(crate) fn analyze(graph: &Graph, files: &[FileInput<'_>]) -> Outcome {
+    let has = |n: &FnNode, marker: &str| n.markers.iter().any(|m| m == marker);
+    let serve = bfs(graph, |n| {
+        has(n, "serve-entry") && in_src_of(&n.file, SERVER_CRATES)
+    });
+    let clock = bfs(graph, |n| in_src_of(&n.file, CLOCK_ROOT_CRATES));
+    let hot = bfs(graph, |n| {
+        has(n, "hot-path") && in_src_of(&n.file, HOT_PATH_CRATES)
+    });
 
-    let serve_roots: Vec<usize> = (0..graph.nodes.len())
-        .filter(|&i| {
-            let n = &graph.nodes[i];
-            n.in_src
-                && n.markers.iter().any(|m| m == "serve-entry")
-                && n.crate_dir
-                    .as_deref()
-                    .is_some_and(|c| cfg.server_crates.iter().any(|s| s == c))
-        })
-        .collect();
-    let serve_parents = bfs(graph, &serve_roots);
-
-    run_r1t(cfg, graph, &serve_parents, &mut findings);
-    run_r4t(cfg, graph, &serve_parents, &mut findings);
-
-    let clock_roots: Vec<usize> = (0..graph.nodes.len())
-        .filter(|&i| {
-            let n = &graph.nodes[i];
-            n.in_src
-                && n.crate_dir
-                    .as_deref()
-                    .is_some_and(|c| cfg.clock_root_crates.iter().any(|d| d == c))
-        })
-        .collect();
-    let clock_parents = bfs(graph, &clock_roots);
-    run_d1t(cfg, graph, &clock_parents, &mut findings);
-
-    let hot_roots: Vec<usize> = (0..graph.nodes.len())
-        .filter(|&i| {
-            let n = &graph.nodes[i];
-            n.in_src
-                && n.markers.iter().any(|m| m == "hot-path")
-                && n.crate_dir
-                    .as_deref()
-                    .is_some_and(|c| cfg.hot_path_crates.iter().any(|h| h == c))
-        })
-        .collect();
-    let hot_parents = bfs(graph, &hot_roots);
-    run_p1t(graph, &hot_parents, &mut findings);
-
+    let mut findings: Vec<Finding> = Vec::new();
+    run_d1(graph, files, &clock, &mut findings);
+    run_r1(graph, &serve, &mut findings);
+    run_r4(graph, &serve, &mut findings);
+    run_p1(graph, &hot, &mut findings);
     run_l1(graph, &mut findings);
+    // Direct findings first: where one line has a direct and a reachable
+    // finding of the same rule, the report's stable sort keeps them so.
+    findings.sort_by_key(|f| f.fn_window.is_some());
 
     // Unresolved calls reachable from any root set are surfaced; the rest
     // only count toward the summary total.
     let mut unresolved: Vec<ReachableUnresolved> = Vec::new();
     for u in &graph.unresolved {
-        let reachable = serve_parents[u.from].is_some()
-            || clock_parents[u.from].is_some()
-            || hot_parents[u.from].is_some();
+        let reachable = serve[u.from].is_some() || clock[u.from].is_some() || hot[u.from].is_some();
         if reachable {
             let n = &graph.nodes[u.from];
             unresolved.push(ReachableUnresolved {
@@ -130,16 +112,15 @@ pub(crate) fn analyze(cfg: &Config, graph: &Graph) -> Outcome {
     }
 }
 
-/// Multi-source BFS. Returns per-node `Some(parent)` when reachable (a
-/// root's parent is itself). Roots are visited in index order and each
-/// adjacency list is pre-sorted, so shortest chains are deterministic.
-fn bfs(graph: &Graph, roots: &[usize]) -> Vec<Option<usize>> {
+/// Multi-source BFS from every node `is_root` accepts. Returns per-node
+/// `Some(parent)` when reachable (a root's parent is itself). Roots are
+/// visited in index order and each adjacency list is pre-sorted, so
+/// shortest chains are deterministic.
+fn bfs(graph: &Graph, is_root: impl Fn(&FnNode) -> bool) -> Vec<Option<usize>> {
     let mut parent: Vec<Option<usize>> = vec![None; graph.nodes.len()];
     let mut queue: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
-    let mut sorted_roots: Vec<usize> = roots.to_vec();
-    sorted_roots.sort_unstable();
-    for &r in &sorted_roots {
-        if parent[r].is_none() {
+    for (r, n) in graph.nodes.iter().enumerate() {
+        if is_root(n) {
             parent[r] = Some(r);
             queue.push_back(r);
         }
@@ -172,107 +153,127 @@ fn chain(graph: &Graph, parents: &[Option<usize>], node: usize) -> Vec<String> {
         .collect()
 }
 
-fn finding(
+/// One rule's view of the graph: the BFS parents from its roots and the
+/// place phrase its rationales use for each part.
+struct Rule<'g> {
+    id: &'static str,
+    graph: &'g Graph,
+    parents: &'g [Option<usize>],
+    /// `[direct, reachable]`.
+    places: [&'static str; 2],
+}
+
+impl Rule<'_> {
+    /// Pushes the finding for a sink at `line` in `node`: a direct one when
+    /// `direct`, else a reachable one if a root reaches `node`. `why` words
+    /// the rationale around the part's place phrase.
+    fn push(
+        &self,
+        node: usize,
+        direct: bool,
+        line: usize,
+        why: impl FnOnce(&str) -> String,
+        out: &mut Vec<Finding>,
+    ) {
+        if !direct && self.parents[node].is_none() {
+            return;
+        }
+        let n = &self.graph.nodes[node];
+        out.push(Finding {
+            rule: self.id,
+            file: n.file.clone(),
+            line,
+            rationale: why(self.places[usize::from(!direct)]),
+            chain: if direct {
+                Vec::new()
+            } else {
+                chain(self.graph, self.parents, node)
+            },
+            fn_window: (!direct).then_some((n.item_line, n.sig_line)),
+        });
+    }
+}
+
+/// D1: wall-clock/entropy in a deterministic crate's `src/`, in a fn body
+/// or at item level (direct), or reachable from a clock-sensitive crate.
+fn run_d1(
     graph: &Graph,
+    files: &[FileInput<'_>],
     parents: &[Option<usize>],
-    node: usize,
-    rule: &'static str,
-    line: usize,
-    rationale: String,
-) -> TransFinding {
-    let n = &graph.nodes[node];
-    TransFinding {
-        rule,
-        file: n.file.clone(),
-        line,
-        rationale,
-        chain: chain(graph, parents, node),
-        fn_item_line: n.item_line,
-        fn_sig_line: n.sig_line,
-    }
-}
-
-/// True when `node`'s file is in a crate from `list`'s `src/` tree.
-fn in_src_of(graph: &Graph, node: usize, list: &[String]) -> bool {
-    let n = &graph.nodes[node];
-    n.in_src
-        && n.crate_dir
-            .as_deref()
-            .is_some_and(|c| list.iter().any(|d| d == c))
-}
-
-/// R1T: panic family + indexing reachable from serving entry points.
-/// Panic-family sinks inside server-crate `src/` are R1's jurisdiction and
-/// skipped; indexing is new surface and reported everywhere reachable.
-fn run_r1t(cfg: &Config, graph: &Graph, parents: &[Option<usize>], out: &mut Vec<TransFinding>) {
-    for node in 0..graph.nodes.len() {
-        if parents[node].is_none() {
-            continue;
+    out: &mut Vec<Finding>,
+) {
+    let rule = Rule {
+        id: "D1",
+        graph,
+        parents,
+        places: [
+            "in a deterministic crate",
+            "and is reachable from a deterministic crate",
+        ],
+    };
+    let why = |what: &str, place: &str| {
+        format!(
+            "{what} reads the wall clock or ambient entropy {place}; the campaign output \
+             would stop being a pure function of the seed"
+        )
+    };
+    for f in files
+        .iter()
+        .filter(|f| in_src_of(f.rel, DETERMINISTIC_CRATES))
+    {
+        for s in &f.parsed.item_clocks {
+            out.push(Finding {
+                rule: rule.id,
+                file: f.rel.to_string(),
+                line: s.line,
+                rationale: why(&s.what, rule.places[0]),
+                chain: Vec::new(),
+                fn_window: None,
+            });
         }
-        let covered_by_r1 = in_src_of(graph, node, &cfg.server_crates);
-        for s in &graph.nodes[node].sinks {
-            let rationale = match s.kind {
-                SinkKind::Panic if !covered_by_r1 => format!(
-                    "{} can panic and is reachable from a serving entry point; a bad \
-                     request must not be able to kill a worker",
-                    s.what
-                ),
-                SinkKind::Index => format!(
-                    "{} indexing panics out of bounds and is reachable from a serving \
-                     entry point; use a checked `.get(…)` and handle the miss",
-                    s.what
-                ),
-                _ => continue,
-            };
-            out.push(finding(graph, parents, node, "R1T", s.line, rationale));
+    }
+    for (node, n) in graph.nodes.iter().enumerate() {
+        let direct = in_src_of(&n.file, DETERMINISTIC_CRATES);
+        for s in n.sinks.iter().filter(|s| s.kind == SinkKind::Clock) {
+            rule.push(node, direct, s.line, |place| why(&s.what, place), out);
         }
     }
 }
 
-/// R4T: blocking constructs reachable from serving entry points. Spawn and
-/// blocking reads inside server-crate `src/` are R4's jurisdiction; the
-/// lock-held-across-write heuristic (a `.lock()` earlier in the same
-/// function than a `.write*()`) is new surface and applies everywhere.
-fn run_r4t(cfg: &Config, graph: &Graph, parents: &[Option<usize>], out: &mut Vec<TransFinding>) {
-    for node in 0..graph.nodes.len() {
-        if parents[node].is_none() {
-            continue;
-        }
-        let covered_by_r4 = in_src_of(graph, node, &cfg.server_crates);
-        let sinks = &graph.nodes[node].sinks;
-        for s in sinks {
+/// R1: the panic family in a server crate's `src/` (direct) or reachable
+/// from a serving entry point, and `expr[…]` indexing reachable from one.
+fn run_r1(graph: &Graph, parents: &[Option<usize>], out: &mut Vec<Finding>) {
+    let rule = Rule {
+        id: "R1",
+        graph,
+        parents,
+        places: [
+            "in a serving path",
+            "and is reachable from a serving entry point",
+        ],
+    };
+    for (node, n) in graph.nodes.iter().enumerate() {
+        let direct = in_src_of(&n.file, SERVER_CRATES);
+        for s in &n.sinks {
+            let what = &s.what;
             match s.kind {
-                SinkKind::Spawn | SinkKind::BlockingRead if !covered_by_r4 => {
-                    out.push(finding(
-                        graph,
-                        parents,
-                        node,
-                        "R4T",
-                        s.line,
+                SinkKind::Panic => {
+                    let why = |place: &str| {
                         format!(
-                            "{} blocks or respawns threads and is reachable from the \
-                             event-loop worker; the serving path must stay nonblocking",
-                            s.what
-                        ),
-                    ));
+                            "{what} can panic {place}; a bad request must not be able to \
+                             kill a worker"
+                        )
+                    };
+                    rule.push(node, direct, s.line, why, out);
                 }
-                SinkKind::LockAcquire => {
-                    let held_across_write = sinks
-                        .iter()
-                        .any(|w| w.kind == SinkKind::Write && w.order > s.order);
-                    if held_across_write {
-                        out.push(finding(
-                            graph,
-                            parents,
-                            node,
-                            "R4T",
-                            s.line,
-                            "`.lock()` is held across a later `.write*()` in the same \
-                             function, stalling every contender on socket backpressure; \
-                             drop the guard before writing"
-                                .to_string(),
-                        ));
-                    }
+                SinkKind::Index => {
+                    let why = |place: &str| {
+                        format!(
+                            "{what} indexing panics out of bounds {place}; use a checked \
+                             `.get(…)` and handle the miss"
+                        )
+                    };
+                    rule.push(node, false, s.line, why, out);
                 }
                 _ => {}
             }
@@ -280,63 +281,77 @@ fn run_r4t(cfg: &Config, graph: &Graph, parents: &[Option<usize>], out: &mut Vec
     }
 }
 
-/// D1T: wall-clock/entropy reachable from clock-sensitive crates. Sinks
-/// inside deterministic-crate `src/` are D1's jurisdiction and skipped.
-fn run_d1t(cfg: &Config, graph: &Graph, parents: &[Option<usize>], out: &mut Vec<TransFinding>) {
-    for node in 0..graph.nodes.len() {
-        if parents[node].is_none() {
-            continue;
-        }
-        if in_src_of(graph, node, &cfg.deterministic_crates) {
-            continue;
-        }
-        for s in &graph.nodes[node].sinks {
-            if s.kind != SinkKind::Clock {
-                continue;
+/// R4: spawns and blocking reads in a server crate's `src/` outside the
+/// `// geo-lint: worker-bootstrap` fn (direct) or reachable from a serving
+/// entry point, and a `.lock()` held across a later `.write*()` in the
+/// same function, reachable from one.
+fn run_r4(graph: &Graph, parents: &[Option<usize>], out: &mut Vec<Finding>) {
+    let rule = Rule {
+        id: "R4",
+        graph,
+        parents,
+        places: [
+            "in a serving path",
+            "and is reachable from the event-loop worker",
+        ],
+    };
+    for (node, n) in graph.nodes.iter().enumerate() {
+        let direct = in_src_of(&n.file, SERVER_CRATES);
+        let bootstrap = n.markers.iter().any(|m| m == "worker-bootstrap");
+        for s in &n.sinks {
+            match s.kind {
+                SinkKind::Spawn | SinkKind::BlockingRead if !(direct && bootstrap) => {
+                    let why = |place: &str| {
+                        format!(
+                            "{} blocks or respawns threads {place}; the serving path must \
+                             stay nonblocking",
+                            s.what
+                        )
+                    };
+                    rule.push(node, direct, s.line, why, out);
+                }
+                SinkKind::LockAcquire
+                    if n.sinks
+                        .iter()
+                        .any(|w| w.kind == SinkKind::Write && w.order > s.order) =>
+                {
+                    let why = |_: &str| {
+                        "`.lock()` is held across a later `.write*()` in the same function, \
+                         stalling every contender on socket backpressure; drop the guard \
+                         before writing"
+                            .to_string()
+                    };
+                    rule.push(node, false, s.line, why, out);
+                }
+                _ => {}
             }
-            out.push(finding(
-                graph,
-                parents,
-                node,
-                "D1T",
-                s.line,
-                format!(
-                    "{} reads the wall clock or ambient entropy and is reachable from a \
-                     deterministic crate; the campaign output would stop being a pure \
-                     function of the seed",
-                    s.what
-                ),
-            ));
         }
     }
 }
 
-/// P1T: heap allocation in the callees of hot-path-marked functions. The
-/// marked bodies themselves are P1's jurisdiction and skipped.
-fn run_p1t(graph: &Graph, parents: &[Option<usize>], out: &mut Vec<TransFinding>) {
-    for node in 0..graph.nodes.len() {
-        if parents[node].is_none() {
-            continue;
-        }
-        if graph.nodes[node].markers.iter().any(|m| m == "hot-path") {
-            continue;
-        }
-        for s in &graph.nodes[node].sinks {
-            if s.kind != SinkKind::Alloc {
-                continue;
-            }
-            out.push(finding(
-                graph,
-                parents,
-                node,
-                "P1T",
-                s.line,
+/// P1: heap allocation in a `// geo-lint: hot-path` fn (direct) or in a
+/// function one calls.
+fn run_p1(graph: &Graph, parents: &[Option<usize>], out: &mut Vec<Finding>) {
+    let rule = Rule {
+        id: "P1",
+        graph,
+        parents,
+        places: [
+            "inside a `// geo-lint: hot-path` function",
+            "in a function called from a `// geo-lint: hot-path` function",
+        ],
+    };
+    for (node, n) in graph.nodes.iter().enumerate() {
+        // The roots are exactly the direct scope.
+        let direct = parents[node] == Some(node);
+        for s in n.sinks.iter().filter(|s| s.kind == SinkKind::Alloc) {
+            let why = |place: &str| {
                 format!(
-                    "{} heap-allocates in a function called from a `// geo-lint: \
-                     hot-path` function; hoist the buffer or pass scratch in",
+                    "{} heap-allocates {place}; hoist the buffer or pass scratch in",
                     s.what
-                ),
-            ));
+                )
+            };
+            rule.push(node, direct, s.line, why, out);
         }
     }
 }
@@ -345,7 +360,7 @@ fn run_p1t(graph: &Graph, parents: &[Option<usize>], out: &mut Vec<TransFinding>
 /// function acquires class `A` and, later in the same body, acquires class
 /// `B` directly or calls into code that does. A cycle means two threads
 /// can deadlock by taking the classes in opposite orders.
-fn run_l1(graph: &Graph, out: &mut Vec<TransFinding>) {
+fn run_l1(graph: &Graph, out: &mut Vec<Finding>) {
     let mut class_edges: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
     let mut witness: BTreeMap<(String, String), Witness> = BTreeMap::new();
     let mut closure_cache: HashMap<usize, BTreeSet<String>> = HashMap::new();
@@ -414,7 +429,7 @@ fn dfs_cycles(
     path: &mut Vec<String>,
     reported: &mut BTreeSet<Vec<String>>,
     witness: &BTreeMap<(String, String), Witness>,
-    out: &mut Vec<TransFinding>,
+    out: &mut Vec<Finding>,
 ) {
     if let Some(pos) = path.iter().position(|c| c == cur) {
         // Found a cycle: path[pos..] + cur.
@@ -441,7 +456,7 @@ fn dfs_cycles(
                 desc.push(format!("`{a}` then `{b}`"));
             }
         }
-        out.push(TransFinding {
+        out.push(Finding {
             rule: "L1",
             file,
             line,
@@ -451,8 +466,7 @@ fn dfs_cycles(
                 desc.join(", then ")
             ),
             chain,
-            fn_item_line: item_line,
-            fn_sig_line: sig_line,
+            fn_window: Some((item_line, sig_line)),
         });
         return;
     }

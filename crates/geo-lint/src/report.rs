@@ -45,8 +45,8 @@ pub struct UnresolvedCall {
     pub why: String,
 }
 
-/// Call-graph size summary, present when `--call-graph` ran.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Call-graph size summary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GraphSummary {
     pub functions: usize,
     pub edges: usize,
@@ -61,11 +61,10 @@ pub struct Report {
     pub diagnostics: Vec<Diagnostic>,
     /// Allow directives that matched a violation.
     pub suppressed: Vec<Suppression>,
-    /// Unresolved calls reachable from a transitive-rule root; empty when
-    /// the call graph did not run.
+    /// Unresolved calls reachable from a rule root.
     pub unresolved: Vec<UnresolvedCall>,
-    /// Present when the call graph ran.
-    pub graph: Option<GraphSummary>,
+    /// Size of the workspace call graph every check builds.
+    pub graph: GraphSummary,
     /// Number of files scanned.
     pub files_scanned: usize,
 }
@@ -116,13 +115,12 @@ impl Report {
                 );
             }
         }
-        if let Some(g) = &self.graph {
-            let _ = writeln!(
-                out,
-                "call graph: {} functions, {} edges, {} unresolved calls",
-                g.functions, g.edges, g.unresolved
-            );
-        }
+        let g = &self.graph;
+        let _ = writeln!(
+            out,
+            "call graph: {} functions, {} edges, {} unresolved calls",
+            g.functions, g.edges, g.unresolved
+        );
         let _ = writeln!(
             out,
             "geo-lint: {} diagnostic{} ({} suppressed) across {} file{}",
@@ -201,17 +199,12 @@ impl Report {
         if !self.suppressed.is_empty() {
             out.push_str("\n  ");
         }
-        out.push_str("],\n  \"call_graph\": ");
-        match &self.graph {
-            Some(g) => {
-                let _ = write!(
-                    out,
-                    "{{\"functions\": {}, \"edges\": {}, \"unresolved\": {}}}",
-                    g.functions, g.edges, g.unresolved
-                );
-            }
-            None => out.push_str("null"),
-        }
+        let g = &self.graph;
+        let _ = write!(
+            out,
+            "],\n  \"call_graph\": {{\"functions\": {}, \"edges\": {}, \"unresolved\": {}}}",
+            g.functions, g.edges, g.unresolved
+        );
         let _ = write!(
             out,
             ",\n  \"files_scanned\": {},\n  \"clean\": {}\n}}\n",
@@ -264,7 +257,7 @@ mod tests {
                 reason: "invariant: fresh encode always decodes".into(),
             }],
             unresolved: Vec::new(),
-            graph: None,
+            graph: GraphSummary::default(),
             files_scanned: 2,
         };
         r.sort();
@@ -302,15 +295,19 @@ mod tests {
         let r = Report::default();
         assert!(r.is_clean());
         assert!(r.render_json().contains("\"clean\": true"));
-        // No call graph → null summary, and nothing graph-ish in human text.
-        assert!(r.render_json().contains("\"call_graph\": null"));
-        assert!(!r.render_human().contains("call graph:"));
+        // An empty graph still renders its (zero) summary.
+        assert!(r
+            .render_json()
+            .contains(r#""call_graph": {"functions": 0, "edges": 0, "unresolved": 0}"#));
+        assert!(r
+            .render_human()
+            .contains("call graph: 0 functions, 0 edges, 0 unresolved calls"));
     }
 
     #[test]
     fn chains_unresolved_and_graph_render_in_both_formats() {
         let mut r = sample();
-        r.diagnostics[0].rule = "R1T".into();
+        r.diagnostics[0].rule = "R1".into();
         r.diagnostics[0].chain = vec![
             "geo_serve::server::worker_loop".into(),
             "geo_serve::store::Store::get".into(),
@@ -322,11 +319,11 @@ mod tests {
             line: 41,
             why: "ambiguous method: 2 candidates in the workspace".into(),
         });
-        r.graph = Some(GraphSummary {
+        r.graph = GraphSummary {
             functions: 10,
             edges: 7,
             unresolved: 3,
-        });
+        };
         r.sort();
 
         let text = r.render_human();

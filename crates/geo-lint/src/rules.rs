@@ -1,10 +1,12 @@
-//! The lint rules and the per-file checking pass.
+//! The rule table, the per-file checking pass, and the merge that applies
+//! allow directives.
 //!
-//! Every rule is a scan over the token stream produced by [`crate::lexer`],
-//! scoped by where the file lives in the workspace (see [`Config`]).
-//! `#[cfg(test)]` modules and `#[test]` functions are stripped before the
-//! determinism/robustness rules run — tests may time themselves and unwrap
-//! freely.
+//! D2, D3, R2, R3 and R5 are scans over one file's token stream from
+//! [`crate::lexer`]; D1, R1, R4, P1 and L1 read the parser's sinks over
+//! the call graph (`reach`). Each rule is scoped by where a file
+//! lives in the workspace (the crate lists below). `#[cfg(test)]` modules
+//! and `#[test]` functions are stripped before any rule runs — tests may
+//! time themselves and unwrap freely.
 
 use crate::lexer::{self, Comment, FileLex, Token, TokenKind};
 use crate::report::{Diagnostic, Report, Suppression};
@@ -21,7 +23,8 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "D1",
         summary: "no wall-clock or ambient entropy (SystemTime, Instant::now, thread_rng, \
-                  from_entropy) in deterministic crates",
+                  from_entropy) in deterministic crates, nor in any function their public \
+                  surface reaches through cross-crate calls",
     },
     RuleInfo {
         id: "D2",
@@ -35,8 +38,10 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "R1",
-        summary: "no unwrap/expect/panic in geo-serve server and request paths — a bad \
-                  request or poisoned lock must not kill the server",
+        summary: "no unwrap/expect/panic in geo-serve server and request paths, nor any \
+                  panic or indexing-panic reachable (via the call graph) from a \
+                  `// geo-lint: serve-entry` serving entry point — a bad request or \
+                  poisoned lock must not kill the server",
     },
     RuleInfo {
         id: "R2",
@@ -46,13 +51,14 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "R3",
         summary: "no unbounded retry loops: a `loop`/`while true` that handles retryable \
-                  `PlatformError`s must bound its attempts with a counter or budget",
+                  `ApiFault`s must bound its attempts with a counter or budget",
     },
     RuleInfo {
         id: "R4",
         summary: "no `thread::spawn` or blocking socket reads (`read_line`/`read_exact`) in \
                   geo-serve serving paths outside the `// geo-lint: worker-bootstrap` pool \
-                  setup — the event loop must stay nonblocking",
+                  setup, nor any blocking construct or lock held across a write reachable \
+                  from a serving entry point — the event loop must stay nonblocking",
     },
     RuleInfo {
         id: "R5",
@@ -64,27 +70,8 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "P1",
         summary: "heap allocation (Vec/String constructors, vec!/format!, .collect/.to_vec/\
-                  .to_string/.to_owned) inside a function marked `// geo-lint: hot-path`",
-    },
-    RuleInfo {
-        id: "R1T",
-        summary: "panic/unwrap/expect or indexing-panic reachable (via the call graph) from \
-                  a `// geo-lint: serve-entry` serving entry point",
-    },
-    RuleInfo {
-        id: "R4T",
-        summary: "blocking construct (thread::spawn, blocking reads, a lock held across a \
-                  write) reachable from a serving entry point",
-    },
-    RuleInfo {
-        id: "D1T",
-        summary: "wall-clock or ambient entropy reachable from a deterministic crate's \
-                  public surface through cross-crate calls",
-    },
-    RuleInfo {
-        id: "P1T",
-        summary: "heap allocation in a function transitively called from a \
-                  `// geo-lint: hot-path` function",
+                  .to_string/.to_owned) inside a function marked `// geo-lint: hot-path`, \
+                  or in any function it transitively calls",
     },
     RuleInfo {
         id: "L1",
@@ -106,126 +93,56 @@ fn is_known_rule(id: &str) -> bool {
     RULES.iter().any(|r| r.id == id && !r.id.starts_with('X'))
 }
 
-/// The rules that need the call graph. Their allows are fn-scopable (a
-/// standalone allow above the sink's `fn` suppresses the whole function)
-/// and exempt from X2 staleness when the graph did not run.
-const TRANSITIVE_RULES: &[&str] = &["R1T", "R4T", "D1T", "P1T", "L1"];
+/// Crates whose `src/` must be a pure function of the seed: D1's direct
+/// part, D2 and D3.
+pub(crate) const DETERMINISTIC_CRATES: &[&str] = &[
+    "world-sim",
+    "net-sim",
+    "geo-model",
+    "core",
+    "eval",
+    "geo-hints",
+];
 
-/// Where each rule family applies, expressed as crate-name lists relative
-/// to the checked root. Fixtures construct their own `Config`, which is how
-/// the golden tests exercise scoping without replicating this repo's names.
-#[derive(Debug, Clone)]
-pub struct Config {
-    /// Crates whose `src/` must be a pure function of the seed (D1–D3).
-    pub deterministic_crates: Vec<String>,
-    /// Crates whose `src/` is a serving path (R1).
-    pub server_crates: Vec<String>,
-    /// Crates whose `src/` talks to the fault-injecting platform and must
-    /// bound its retry loops (R3).
-    pub retry_crates: Vec<String>,
-    /// Crates whose `src/` carries `// geo-lint: hot-path` markers that P1
-    /// enforces; markers elsewhere are inert documentation.
-    pub hot_path_crates: Vec<String>,
-    /// Vendored stand-in crates, skipped entirely.
-    pub vendored_crates: Vec<String>,
-    /// Crates whose `src/` functions are D1T roots: anything they can
-    /// reach (in any crate) must stay clock/entropy-free. A superset of
-    /// `deterministic_crates` — atlas-sim is seeded-deterministic too even
-    /// though its own body rules are scoped differently.
-    pub clock_root_crates: Vec<String>,
-    /// File (root-relative, `/`-separated) exempt from D3: the one place
-    /// allowed to touch `SeedableRng` directly.
-    pub rng_module: String,
-}
+/// Crates whose `src/` is a serving path: R1's and R4's direct parts,
+/// R5, and the home of the `serve-entry` roots.
+pub(crate) const SERVER_CRATES: &[&str] = &["geo-serve"];
 
-impl Config {
-    /// The scoping used for this workspace.
-    pub fn workspace() -> Config {
-        Config {
-            deterministic_crates: [
-                "world-sim",
-                "net-sim",
-                "geo-model",
-                "core",
-                "eval",
-                "geo-hints",
-            ]
-            .map(String::from)
-            .to_vec(),
-            server_crates: vec!["geo-serve".into()],
-            retry_crates: ["core", "atlas-sim"].map(String::from).to_vec(),
-            hot_path_crates: ["net-sim", "geo-model", "world-sim", "web-sim"]
-                .map(String::from)
-                .to_vec(),
-            vendored_crates: ["rand", "proptest", "criterion"].map(String::from).to_vec(),
-            clock_root_crates: [
-                "world-sim",
-                "net-sim",
-                "geo-model",
-                "core",
-                "eval",
-                "geo-hints",
-                "atlas-sim",
-            ]
-            .map(String::from)
-            .to_vec(),
-            rng_module: "crates/geo-model/src/rng.rs".into(),
-        }
-    }
-}
+/// Crates whose `src/` talks to the fault-injecting platform and must
+/// bound its retry loops (R3).
+const RETRY_CRATES: &[&str] = &["core", "atlas-sim"];
 
-/// Classification of one file by its root-relative path.
-struct FileCtx<'a> {
-    rel: &'a str,
-    /// Component after `crates/`, if the file lives under a crate.
-    crate_name: Option<&'a str>,
-    /// True when the file is under the crate's `src/` directory.
-    in_src: bool,
-}
+/// Crates whose `src/` carries `// geo-lint: hot-path` markers that P1
+/// enforces; markers elsewhere are inert documentation.
+pub(crate) const HOT_PATH_CRATES: &[&str] = &["net-sim", "geo-model", "world-sim", "web-sim"];
 
-impl<'a> FileCtx<'a> {
-    fn classify(rel: &'a str) -> FileCtx<'a> {
-        let crate_name = rel
-            .strip_prefix("crates/")
-            .and_then(|rest| rest.split('/').next());
-        let in_src = match crate_name {
-            Some(name) => rel.starts_with(&format!("crates/{name}/src/")),
-            None => false,
-        };
-        FileCtx {
-            rel,
-            crate_name,
-            in_src,
-        }
-    }
+/// Vendored stand-in crates, skipped entirely.
+pub(crate) const VENDORED_CRATES: &[&str] = &["rand", "proptest", "criterion"];
 
-    fn is_deterministic(&self, cfg: &Config) -> bool {
-        self.in_src
-            && self
-                .crate_name
-                .is_some_and(|c| cfg.deterministic_crates.iter().any(|d| d == c))
-    }
+/// Crates whose `src/` functions are D1's roots: anything they can reach
+/// (in any crate) must stay clock/entropy-free. A superset of
+/// [`DETERMINISTIC_CRATES`] — atlas-sim is seeded-deterministic too even
+/// though its own body rules are scoped differently.
+pub(crate) const CLOCK_ROOT_CRATES: &[&str] = &[
+    "world-sim",
+    "net-sim",
+    "geo-model",
+    "core",
+    "eval",
+    "geo-hints",
+    "atlas-sim",
+];
 
-    fn is_server(&self, cfg: &Config) -> bool {
-        self.in_src
-            && self
-                .crate_name
-                .is_some_and(|c| cfg.server_crates.iter().any(|d| d == c))
-    }
+/// File exempt from D3: the one place allowed to touch `SeedableRng`
+/// directly.
+const RNG_MODULE: &str = "crates/geo-model/src/rng.rs";
 
-    fn is_retry(&self, cfg: &Config) -> bool {
-        self.in_src
-            && self
-                .crate_name
-                .is_some_and(|c| cfg.retry_crates.iter().any(|d| d == c))
-    }
-
-    fn is_hot_path(&self, cfg: &Config) -> bool {
-        self.in_src
-            && self
-                .crate_name
-                .is_some_and(|c| cfg.hot_path_crates.iter().any(|d| d == c))
-    }
+/// True when the root-relative path `rel` lies under the `src/` tree of
+/// one of `crates`.
+pub(crate) fn in_src_of(rel: &str, crates: &[&str]) -> bool {
+    rel.strip_prefix("crates/")
+        .and_then(|rest| rest.split_once("/src/"))
+        .is_some_and(|(name, _)| crates.contains(&name))
 }
 
 /// The per-file analysis result: raw diagnostics (snippets filled), parsed
@@ -242,39 +159,29 @@ pub(crate) struct FileAnalysis {
 
 /// Runs the per-file rules and the item parser over one file. Pure: no
 /// report mutation, so calls are order-independent and parallelizable.
-pub(crate) fn analyze_file(cfg: &Config, rel: &str, src: &str) -> FileAnalysis {
-    let ctx = FileCtx::classify(rel);
+pub(crate) fn analyze_file(rel: &str, src: &str) -> FileAnalysis {
     let lexed = lexer::lex(src);
     let code = strip_test_regions(&lexed.tokens);
     let lines: Vec<String> = src.lines().map(str::to_string).collect();
 
     let mut diags: Vec<Diagnostic> = Vec::new();
-    if ctx.is_deterministic(cfg) {
-        check_d1(&code, &mut diags);
+    if in_src_of(rel, DETERMINISTIC_CRATES) {
         check_d2(&code, &mut diags);
-        if ctx.rel != cfg.rng_module {
+        if rel != RNG_MODULE {
             check_d3(&code, &mut diags);
         }
     }
-    if ctx.is_server(cfg) {
-        check_r1(&code, &mut diags);
-        check_r4(&lexed, &code, &mut diags);
+    if in_src_of(rel, SERVER_CRATES) {
         check_r5(&code, &mut diags);
     }
     check_r2(&code, &mut diags);
-    if ctx.is_retry(cfg) {
+    if in_src_of(rel, RETRY_CRATES) {
         check_r3(&code, &mut diags);
-    }
-    if ctx.is_hot_path(cfg) {
-        check_p1(&lexed, &code, &mut diags);
     }
 
     for d in &mut diags {
         d.file = rel.to_string();
-        d.snippet = lines
-            .get(d.line.saturating_sub(1))
-            .map(|l| l.trim().to_string())
-            .unwrap_or_default();
+        d.snippet = snippet(&lines, d.line);
     }
 
     let mut allows = Vec::new();
@@ -283,7 +190,7 @@ pub(crate) fn analyze_file(cfg: &Config, rel: &str, src: &str) -> FileAnalysis {
     }
 
     // Item parse on the test-stripped tokens: test fns stay out of the
-    // call graph, mirroring the per-file rules.
+    // call graph, as they stay out of every rule.
     let parsed = crate::parser::parse(&code, &lexed.comments);
 
     FileAnalysis {
@@ -295,46 +202,46 @@ pub(crate) fn analyze_file(cfg: &Config, rel: &str, src: &str) -> FileAnalysis {
     }
 }
 
-/// Reconciles analyses and transitive findings against allow directives,
-/// appending to `report`. Transitive findings may be suppressed either on
-/// the sink line or fn-scoped (a standalone allow above the sink's `fn`).
-/// Unused allows become X2 — with a distinct rationale when the allowed
-/// rule is not even checked for that file, and no X2 at all for
-/// transitive-rule allows when the call graph did not run (their validity
-/// cannot be judged without it).
+/// Line `line` (1-based) of `lines`, trimmed; empty past the end.
+fn snippet(lines: &[String], line: usize) -> String {
+    lines
+        .get(line.saturating_sub(1))
+        .map(|l| l.trim().to_string())
+        .unwrap_or_default()
+}
+
+/// Reconciles analyses and graph-rule findings against allow directives,
+/// appending to `report`. A graph finding with a fn window (a reachable
+/// one, or L1) may be suppressed either on the sink line or fn-scoped (a
+/// standalone allow above the sink's `fn`); every other finding only on
+/// its line. Unused allows become X2 — with a distinct rationale when the
+/// allowed rule is not even checked for that file.
 pub(crate) fn merge(
-    cfg: &Config,
     analyses: Vec<FileAnalysis>,
-    transitive: Vec<crate::reach::TransFinding>,
-    call_graph_ran: bool,
+    findings: Vec<crate::reach::Finding>,
     report: &mut Report,
 ) {
-    let mut trans_by_file: std::collections::BTreeMap<&str, Vec<&crate::reach::TransFinding>> =
+    let mut by_file: std::collections::BTreeMap<&str, Vec<&crate::reach::Finding>> =
         std::collections::BTreeMap::new();
-    for f in &transitive {
-        trans_by_file.entry(f.file.as_str()).or_default().push(f);
+    for f in &findings {
+        by_file.entry(f.file.as_str()).or_default().push(f);
     }
 
     for mut a in analyses {
-        let ctx = FileCtx::classify(&a.rel);
-        // (diagnostic, fn allow-window for transitive findings).
+        // (diagnostic, fn allow-window).
         let mut candidates: Vec<(Diagnostic, Option<(usize, usize)>)> =
             a.diags.drain(..).map(|d| (d, None)).collect();
-        for t in trans_by_file.get(a.rel.as_str()).into_iter().flatten() {
+        for f in by_file.get(a.rel.as_str()).into_iter().flatten() {
             candidates.push((
                 Diagnostic {
-                    rule: t.rule.into(),
-                    file: t.file.clone(),
-                    line: t.line,
-                    snippet: a
-                        .lines
-                        .get(t.line.saturating_sub(1))
-                        .map(|l| l.trim().to_string())
-                        .unwrap_or_default(),
-                    rationale: t.rationale.clone(),
-                    chain: t.chain.clone(),
+                    rule: f.rule.into(),
+                    file: f.file.clone(),
+                    line: f.line,
+                    snippet: snippet(&a.lines, f.line),
+                    rationale: f.rationale.clone(),
+                    chain: f.chain.clone(),
                 },
-                Some((t.fn_item_line, t.fn_sig_line)),
+                f.fn_window,
             ));
         }
 
@@ -361,11 +268,7 @@ pub(crate) fn merge(
             if al.used {
                 continue;
             }
-            let is_transitive = TRANSITIVE_RULES.contains(&al.rule.as_str());
-            if is_transitive && !call_graph_ran {
-                continue;
-            }
-            let rationale = if rule_checked_here(cfg, &ctx, &al.rule) {
+            let rationale = if rule_checked_here(&a.rel, &al.rule) {
                 format!(
                     "stale allow: no {} violation on line {} — remove the directive",
                     al.rule, al.target_line
@@ -382,11 +285,7 @@ pub(crate) fn merge(
                 rule: "X2".into(),
                 file: a.rel.clone(),
                 line: al.directive_line,
-                snippet: a
-                    .lines
-                    .get(al.directive_line.saturating_sub(1))
-                    .map(|l| l.trim().to_string())
-                    .unwrap_or_default(),
+                snippet: snippet(&a.lines, al.directive_line),
                 rationale,
                 chain: Vec::new(),
             });
@@ -396,29 +295,18 @@ pub(crate) fn merge(
     }
 }
 
-/// Whether `rule` actually runs for the file `ctx` describes — the X2
-/// scoping check for unused allows.
-fn rule_checked_here(cfg: &Config, ctx: &FileCtx<'_>, rule: &str) -> bool {
+/// Whether `rule` actually runs for the file at `rel` — the X2 scoping
+/// check for unused allows.
+fn rule_checked_here(rel: &str, rule: &str) -> bool {
     match rule {
-        "D1" | "D2" => ctx.is_deterministic(cfg),
-        "D3" => ctx.is_deterministic(cfg) && ctx.rel != cfg.rng_module,
-        "R1" | "R4" | "R5" => ctx.is_server(cfg),
-        "R2" => true,
-        "R3" => ctx.is_retry(cfg),
-        "P1" => ctx.is_hot_path(cfg),
-        // Transitive rules can fire in any file once the graph runs
-        // (merge already skipped them when it did not).
-        r if TRANSITIVE_RULES.contains(&r) => true,
+        "D2" => in_src_of(rel, DETERMINISTIC_CRATES),
+        "D3" => in_src_of(rel, DETERMINISTIC_CRATES) && rel != RNG_MODULE,
+        "R3" => in_src_of(rel, RETRY_CRATES),
+        "R5" => in_src_of(rel, SERVER_CRATES),
+        // R2 runs everywhere, and D1, R1, R4, P1 and L1 can fire in any
+        // file the call graph reaches.
         _ => true,
     }
-}
-
-/// Lints one file; appends non-suppressed diagnostics and used
-/// suppressions to `report`. `rel` is the root-relative path. This is the
-/// serial per-file mode: no call graph, no transitive rules.
-pub fn lint_file(cfg: &Config, rel: &str, src: &str, report: &mut Report) {
-    let analysis = analyze_file(cfg, rel, src);
-    merge(cfg, vec![analysis], Vec::new(), false, report);
 }
 
 /// A parsed `// geo-lint: allow(RULE, reason = "...")` directive.
@@ -460,10 +348,7 @@ fn parse_allows(
                 rule: "X1".into(),
                 file: rel.to_string(),
                 line: c.line,
-                snippet: lines
-                    .get(c.line.saturating_sub(1))
-                    .map(|l| l.trim().to_string())
-                    .unwrap_or_default(),
+                snippet: snippet(lines, c.line),
                 rationale: format!(
                     "malformed geo-lint directive: {why} \
                      (expected `geo-lint: allow(<rule>, reason = \"...\")`)"
@@ -472,8 +357,7 @@ fn parse_allows(
             });
         };
         if matches!(body.trim(), "hot-path" | "worker-bootstrap" | "serve-entry") {
-            // Markers, not allows: `check_p1`/`check_r4` consume the first
-            // two; the reachability engine roots R1T/R4T at `serve-entry`.
+            // Markers, not allows: the parser attaches them to the next fn.
             continue;
         }
         let Some(args) = body.strip_prefix("allow(") else {
@@ -617,37 +501,6 @@ fn diag(rule: &str, line: usize, rationale: String) -> Diagnostic {
         snippet: String::new(),
         rationale,
         chain: Vec::new(),
-    }
-}
-
-/// D1: wall-clock and ambient-entropy reads.
-fn check_d1(tokens: &[Token], diags: &mut Vec<Diagnostic>) {
-    for (i, t) in tokens.iter().enumerate() {
-        let Some(name) = t.ident() else { continue };
-        match name {
-            "SystemTime" | "UNIX_EPOCH" => diags.push(diag(
-                "D1",
-                t.line,
-                format!("`{name}` reads the wall clock; deterministic crates must be pure functions of the seed"),
-            )),
-            "thread_rng" | "from_entropy" => diags.push(diag(
-                "D1",
-                t.line,
-                format!("`{name}` draws ambient OS entropy; derive randomness from `geo_model::rng::Seed` instead"),
-            )),
-            "Instant"
-                if tokens.get(i + 1).is_some_and(|x| x.is_punct(':'))
-                    && tokens.get(i + 2).is_some_and(|x| x.is_punct(':'))
-                    && tokens.get(i + 3).is_some_and(|x| x.is_ident("now"))
-                => {
-                    diags.push(diag(
-                        "D1",
-                        t.line,
-                        "`Instant::now()` reads the monotonic clock; timing belongs in `bench`, not in deterministic crates".into(),
-                    ));
-                }
-            _ => {}
-        }
     }
 }
 
@@ -944,140 +797,6 @@ fn check_d3(tokens: &[Token], diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// R1: panicking calls in server/request paths.
-fn check_r1(tokens: &[Token], diags: &mut Vec<Diagnostic>) {
-    for (i, t) in tokens.iter().enumerate() {
-        let Some(name) = t.ident() else { continue };
-        match name {
-            "unwrap" | "expect" => {
-                let method_call = i > 0
-                    && tokens[i - 1].is_punct('.')
-                    && tokens.get(i + 1).is_some_and(|x| x.is_punct('('));
-                if method_call {
-                    diags.push(diag(
-                        "R1",
-                        t.line,
-                        format!(
-                            "`.{name}()` can panic and take the whole server down; handle the \
-                             error (log-and-continue, or recover the poisoned lock)"
-                        ),
-                    ));
-                }
-            }
-            "panic" | "unreachable" | "todo" | "unimplemented"
-                if tokens.get(i + 1).is_some_and(|x| x.is_punct('!')) =>
-            {
-                diags.push(diag(
-                        "R1",
-                        t.line,
-                        format!("`{name}!` in a serving path kills the connection thread or process; return an error instead"),
-                    ));
-            }
-            _ => {}
-        }
-    }
-}
-
-/// R4: blocking concurrency primitives in a serving path.
-///
-/// geo-serve answers queries from a fixed worker pool driving a
-/// readiness event loop; `thread::spawn` reintroduces per-connection
-/// threads, and blocking socket reads (`.read_line()`, `.read_exact()`)
-/// park a worker on bytes that may never arrive, starving every other
-/// connection on its poller. The one legitimate spawn site — building
-/// the pool itself — is marked `// geo-lint: worker-bootstrap` directly
-/// above the function, which exempts that function's body.
-fn check_r4(lexed: &FileLex, code: &[Token], diags: &mut Vec<Diagnostic>) {
-    let exempt = bootstrap_ranges(lexed, code);
-    let exempted = |i: usize| exempt.iter().any(|r| r.contains(&i));
-    for (i, t) in code.iter().enumerate() {
-        let Some(name) = t.ident() else { continue };
-        match name {
-            "spawn" => {
-                // The path form `thread::spawn` / `std::thread::spawn`.
-                // Method-call `.spawn(...)` is `thread::Builder` or a
-                // scoped spawn, which the bootstrap fn also uses — the
-                // path check keeps those callable behind the marker.
-                let path_call = i >= 3
-                    && code[i - 1].is_punct(':')
-                    && code[i - 2].is_punct(':')
-                    && code[i - 3].is_ident("thread");
-                if path_call && !exempted(i) {
-                    diags.push(diag(
-                        "R4",
-                        t.line,
-                        "`thread::spawn` in a serving path brings back per-connection \
-                         threads; serve from the fixed worker pool (the only spawn site \
-                         is the `// geo-lint: worker-bootstrap` function)"
-                            .into(),
-                    ));
-                }
-            }
-            "read_line" | "read_exact" => {
-                let method_call = i > 0
-                    && code[i - 1].is_punct('.')
-                    && code.get(i + 1).is_some_and(|x| x.is_punct('('));
-                if method_call && !exempted(i) {
-                    diags.push(diag(
-                        "R4",
-                        t.line,
-                        format!(
-                            "`.{name}()` blocks a pool worker on bytes that may never \
-                             arrive, starving every connection on its poller; read \
-                             nonblocking chunks and let the event loop schedule readiness"
-                        ),
-                    ));
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Token-index ranges (into `code`) of function bodies marked
-/// `// geo-lint: worker-bootstrap`. Marker resolution mirrors the P1
-/// hot-path marker: the first `fn` within a few lines below the comment
-/// owns it; its balanced `{ … }` body is the exempt range.
-fn bootstrap_ranges(lexed: &FileLex, code: &[Token]) -> Vec<std::ops::Range<usize>> {
-    let mut ranges = Vec::new();
-    for c in &lexed.comments {
-        let anchored = c.text.trim_start_matches(['/', '!', '*']).trim_start();
-        let Some(body) = anchored.strip_prefix("geo-lint:") else {
-            continue;
-        };
-        if body.trim() != "worker-bootstrap" {
-            continue;
-        }
-        let Some(fn_tok) = code
-            .iter()
-            .position(|t| t.line > c.line && t.is_ident("fn"))
-        else {
-            continue;
-        };
-        if code[fn_tok].line > c.line + 8 {
-            continue;
-        }
-        let Some(open) = (fn_tok..code.len()).find(|&k| code[k].is_punct('{')) else {
-            continue;
-        };
-        let mut depth = 0i32;
-        let mut end = open;
-        while end < code.len() {
-            if code[end].is_punct('{') {
-                depth += 1;
-            } else if code[end].is_punct('}') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            end += 1;
-        }
-        ranges.push(open..end.min(code.len()));
-    }
-    ranges
-}
-
 /// Methods through which a read loop accumulates bytes into a buffer.
 const GROW_METHODS: &[&str] = &["push", "extend", "extend_from_slice", "append", "push_str"];
 
@@ -1212,11 +931,10 @@ const ATTEMPT_MARKERS: &[&str] = &[
     "remaining",
 ];
 
-/// R3: a `loop { … }` / `while true { … }` whose body handles retryable
-/// platform faults (`PlatformError`, `is_retryable`, or the `ApiFault`s the
-/// campaign executor retries) without any bounded attempt accounting.
-/// Under fault injection such a loop can spin forever on a fault the plan
-/// keeps returning.
+/// R3: a `loop { … }` / `while true { … }` whose body handles the
+/// retryable `ApiFault`s of `atlas_sim::faults` without any bounded attempt
+/// accounting. Under fault injection such a loop can spin forever on a
+/// fault the plan keeps returning.
 fn check_r3(tokens: &[Token], diags: &mut Vec<Diagnostic>) {
     let mut i = 0;
     while i < tokens.len() {
@@ -1250,10 +968,7 @@ fn check_r3(tokens: &[Token], diags: &mut Vec<Diagnostic>) {
             j += 1;
         }
         let body = &tokens[open..j.min(tokens.len())];
-        let retryable = body.iter().any(|t| {
-            t.ident()
-                .is_some_and(|s| matches!(s, "PlatformError" | "is_retryable" | "ApiFault"))
-        });
+        let retryable = body.iter().any(|t| t.is_ident("ApiFault"));
         let bounded = body
             .iter()
             .any(|t| t.ident().is_some_and(|s| ATTEMPT_MARKERS.contains(&s)));
@@ -1261,9 +976,9 @@ fn check_r3(tokens: &[Token], diags: &mut Vec<Diagnostic>) {
             diags.push(diag(
                 "R3",
                 t.line,
-                "unbounded retry loop: it matches retryable `PlatformError`s but never \
-                 counts attempts; bound it with an attempt counter or budget (see \
-                 `ipgeo::resilient::RetryPolicy`)"
+                "unbounded retry loop: it matches retryable `ApiFault`s but never counts \
+                 attempts; bound it with an attempt counter or budget, as \
+                 `ipgeo::resilient`'s attempt loop does (`for attempt in 0..MAX_ATTEMPTS`)"
                     .into(),
             ));
         }
@@ -1296,128 +1011,18 @@ fn check_r2(tokens: &[Token], diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Types whose associated constructors allocate (P1): `Vec::new(…)`,
-/// `String::with_capacity(…)`, … Bare mentions in type position are fine.
-const ALLOC_CTOR_TYPES: &[&str] = &[
-    "Vec", "String", "Box", "VecDeque", "BTreeMap", "BTreeSet", "HashMap", "HashSet",
-];
-
-/// The allocating associated functions on those types.
-const ALLOC_CTOR_FNS: &[&str] = &["new", "with_capacity", "from", "default"];
-
-/// Chained methods that allocate their result.
-const ALLOC_CHAIN_METHODS: &[&str] = &["collect", "to_vec", "to_string", "to_owned"];
-
-/// Macros that allocate.
-const ALLOC_MACROS: &[&str] = &["vec", "format"];
-
-/// P1: heap allocation inside a function marked `// geo-lint: hot-path`.
-///
-/// The marker is a standalone comment directly above the function
-/// (attributes between marker and `fn` are fine). Hot-path functions run
-/// per simulated packet or per route link; a `Vec`/`String` allocation
-/// there turns an O(1) step into allocator traffic that dominates the
-/// campaign profile. Flagged constructs: allocating constructors
-/// (`Vec::new`, `String::with_capacity`, …), `vec!`/`format!`, and
-/// allocating chain methods (`.collect()`, `.to_vec()`, …).
-fn check_p1(lexed: &FileLex, code: &[Token], diags: &mut Vec<Diagnostic>) {
-    for c in &lexed.comments {
-        let anchored = c.text.trim_start_matches(['/', '!', '*']).trim_start();
-        let Some(body) = anchored.strip_prefix("geo-lint:") else {
-            continue;
-        };
-        if body.trim() != "hot-path" {
-            continue;
-        }
-        // The marked function: the first `fn` shortly after the marker
-        // (bounded so a detached marker cannot adopt an unrelated
-        // function further down the file).
-        let Some(fn_tok) = code
-            .iter()
-            .position(|t| t.line > c.line && t.is_ident("fn"))
-        else {
-            continue;
-        };
-        if code[fn_tok].line > c.line + 8 {
-            continue;
-        }
-        // Balanced `{ … }` body after the signature.
-        let Some(open) = (fn_tok..code.len()).find(|&k| code[k].is_punct('{')) else {
-            continue;
-        };
-        let mut depth = 0i32;
-        let mut end = open;
-        while end < code.len() {
-            if code[end].is_punct('{') {
-                depth += 1;
-            } else if code[end].is_punct('}') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            end += 1;
-        }
-        scan_hot_body(&code[open..end.min(code.len())], diags);
-    }
-}
-
-/// Scans one hot-path function body for allocating constructs.
-fn scan_hot_body(body: &[Token], diags: &mut Vec<Diagnostic>) {
-    let p1 = |what: &str, line: usize, diags: &mut Vec<Diagnostic>| {
-        diags.push(diag(
-            "P1",
-            line,
-            format!(
-                "`{what}` heap-allocates inside a `// geo-lint: hot-path` function; \
-                 hoist the buffer to the caller or use a fixed-size scratch"
-            ),
-        ));
-    };
-    for (i, t) in body.iter().enumerate() {
-        let Some(name) = t.ident() else { continue };
-        // `Vec::new(…)` and friends.
-        if ALLOC_CTOR_TYPES.contains(&name)
-            && body.get(i + 1).is_some_and(|x| x.is_punct(':'))
-            && body.get(i + 2).is_some_and(|x| x.is_punct(':'))
-            && body
-                .get(i + 3)
-                .is_some_and(|x| x.ident().is_some_and(|m| ALLOC_CTOR_FNS.contains(&m)))
-            && body.get(i + 4).is_some_and(|x| x.is_punct('('))
-        {
-            let m = body[i + 3].ident().unwrap_or_default();
-            p1(&format!("{name}::{m}"), t.line, diags);
-            continue;
-        }
-        // `vec![…]` / `format!(…)`.
-        if ALLOC_MACROS.contains(&name) && body.get(i + 1).is_some_and(|x| x.is_punct('!')) {
-            p1(&format!("{name}!"), t.line, diags);
-            continue;
-        }
-        // `.collect()`, `.to_vec()`, …
-        if ALLOC_CHAIN_METHODS.contains(&name)
-            && i > 0
-            && body[i - 1].is_punct('.')
-            && body.get(i + 1).is_some_and(|x| x.is_punct('('))
-        {
-            p1(&format!(".{name}()"), t.line, diags);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn run(cfg: &Config, rel: &str, src: &str) -> Report {
-        let mut report = Report::default();
-        lint_file(cfg, rel, src, &mut report);
-        report.sort();
-        report
+    /// Lints `src` as the one file of a workspace, through the entry
+    /// [`crate::check`] itself calls.
+    fn run(rel: &str, src: &str) -> Report {
+        crate::lint(&[(rel.into(), src.into())], &Default::default())
     }
 
     fn det(src: &str) -> Report {
-        run(&Config::workspace(), "crates/core/src/lib.rs", src)
+        run("crates/core/src/lib.rs", src)
     }
 
     #[test]
@@ -1434,11 +1039,26 @@ mod tests {
         assert!(det("struct S { t: Instant }").is_clean());
         // The same code in a non-deterministic crate is fine.
         let r = run(
-            &Config::workspace(),
             "crates/bench/src/lib.rs",
             "fn f() { let t = Instant::now(); }",
         );
         assert!(r.is_clean(), "{:?}", r.diagnostics);
+    }
+
+    #[test]
+    fn d1_fires_outside_fn_bodies() {
+        // Imports, statics and signatures are in no fn body, so no graph
+        // node owns their clock identifiers; D1 still flags each one.
+        let src = "use std::time::SystemTime;\nstatic S: SystemTime = UNIX_EPOCH;\nfn f(t: SystemTime) -> u64 { 0 }";
+        let r = det(src);
+        let lines: Vec<(&str, usize)> = r
+            .diagnostics
+            .iter()
+            .map(|d| (d.rule.as_str(), d.line))
+            .collect();
+        assert_eq!(lines, [("D1", 1), ("D1", 2), ("D1", 2), ("D1", 3)]);
+        assert!(r.diagnostics[2].rationale.contains("UNIX_EPOCH"));
+        assert!(r.diagnostics.iter().all(|d| d.chain.is_empty()));
     }
 
     #[test]
@@ -1505,23 +1125,23 @@ mod tests {
         let r = det(src);
         assert_eq!(r.diagnostics.len(), 1);
         assert_eq!(r.diagnostics[0].rule, "D3");
-        let rng = run(&Config::workspace(), "crates/geo-model/src/rng.rs", src);
+        let rng = run("crates/geo-model/src/rng.rs", src);
         assert!(rng.is_clean());
     }
 
     #[test]
     fn r1_fires_in_server_crate_only() {
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }";
-        let r = run(&Config::workspace(), "crates/geo-serve/src/server.rs", src);
+        let r = run("crates/geo-serve/src/server.rs", src);
         assert_eq!(r.diagnostics.len(), 1);
         assert_eq!(r.diagnostics[0].rule, "R1");
-        assert!(run(&Config::workspace(), "crates/core/src/lib.rs", src).is_clean());
+        assert!(run("crates/core/src/lib.rs", src).is_clean());
     }
 
     #[test]
     fn r1_fires_on_panic_macros_not_assert() {
         let src = "fn f() { assert!(true); panic!(\"boom\"); }";
-        let r = run(&Config::workspace(), "crates/geo-serve/src/lib.rs", src);
+        let r = run("crates/geo-serve/src/lib.rs", src);
         assert_eq!(r.diagnostics.len(), 1, "{:?}", r.diagnostics);
         assert!(r.diagnostics[0].rationale.contains("panic"));
     }
@@ -1529,25 +1149,25 @@ mod tests {
     #[test]
     fn r1_ignores_unwrap_or_else() {
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap_or_else(|| 0) }";
-        assert!(run(&Config::workspace(), "crates/geo-serve/src/lib.rs", src).is_clean());
+        assert!(run("crates/geo-serve/src/lib.rs", src).is_clean());
     }
 
     #[test]
     fn r4_fires_on_spawn_and_blocking_reads_in_server_crate_only() {
         let src = "fn f(s: &mut TcpStream) {\n  std::thread::spawn(|| {});\n  let mut b = [0u8; 8];\n  s.read_exact(&mut b).ok();\n}";
-        let r = run(&Config::workspace(), "crates/geo-serve/src/server.rs", src);
+        let r = run("crates/geo-serve/src/server.rs", src);
         assert_eq!(r.diagnostics.len(), 2, "{:?}", r.diagnostics);
         assert!(r.diagnostics.iter().all(|d| d.rule == "R4"));
         assert_eq!(r.diagnostics[0].line, 2);
         assert_eq!(r.diagnostics[1].line, 4);
         // The same code outside geo-serve is out of scope.
-        assert!(run(&Config::workspace(), "crates/core/src/lib.rs", src).is_clean());
+        assert!(run("crates/core/src/lib.rs", src).is_clean());
     }
 
     #[test]
     fn r4_fires_on_read_line() {
         let src = "fn f(r: &mut BufReader<TcpStream>) {\n  let mut line = String::new();\n  r.read_line(&mut line).ok();\n}";
-        let r = run(&Config::workspace(), "crates/geo-serve/src/server.rs", src);
+        let r = run("crates/geo-serve/src/server.rs", src);
         assert_eq!(r.diagnostics.len(), 1, "{:?}", r.diagnostics);
         assert_eq!(r.diagnostics[0].rule, "R4");
         assert!(r.diagnostics[0].rationale.contains("read_line"));
@@ -1556,7 +1176,7 @@ mod tests {
     #[test]
     fn r4_exempts_the_worker_bootstrap_function_body() {
         let src = "// geo-lint: worker-bootstrap\nfn spawn_pool(n: usize) {\n  for _ in 0..n {\n    std::thread::spawn(|| {});\n  }\n}\nfn elsewhere() {\n  std::thread::spawn(|| {});\n}";
-        let r = run(&Config::workspace(), "crates/geo-serve/src/server.rs", src);
+        let r = run("crates/geo-serve/src/server.rs", src);
         assert_eq!(r.diagnostics.len(), 1, "{:?}", r.diagnostics);
         assert_eq!(r.diagnostics[0].rule, "R4");
         assert_eq!(r.diagnostics[0].line, 8);
@@ -1567,7 +1187,7 @@ mod tests {
         // A detached marker exempts nothing (and is not an X1 either —
         // it is a known marker, just inert).
         let src = "// geo-lint: worker-bootstrap\nconst N: usize = 4;\n\n\n\n\n\n\n\n\nfn f() { std::thread::spawn(|| {}); }";
-        let r = run(&Config::workspace(), "crates/geo-serve/src/server.rs", src);
+        let r = run("crates/geo-serve/src/server.rs", src);
         assert_eq!(r.diagnostics.len(), 1, "{:?}", r.diagnostics);
         assert_eq!(r.diagnostics[0].rule, "R4");
     }
@@ -1577,14 +1197,14 @@ mod tests {
         // A `spawn` that is not `thread::spawn`, and `read_exact` as a
         // bare name rather than a method call.
         let src = "fn f(scope: &Scope) {\n  scope.spawn(|| {});\n  let read_exact = 1;\n  drop(read_exact);\n}";
-        let r = run(&Config::workspace(), "crates/geo-serve/src/server.rs", src);
+        let r = run("crates/geo-serve/src/server.rs", src);
         assert!(r.is_clean(), "{:?}", r.diagnostics);
     }
 
     #[test]
     fn r4_allow_directive_suppresses_with_reason() {
         let src = "fn f(s: &mut TcpStream) {\n  let mut b = [0u8; 8];\n  // geo-lint: allow(R4, reason = \"one-shot client, not the serving path\")\n  s.read_exact(&mut b).ok();\n}";
-        let r = run(&Config::workspace(), "crates/geo-serve/src/server.rs", src);
+        let r = run("crates/geo-serve/src/server.rs", src);
         assert!(r.is_clean(), "{:?}", r.diagnostics);
         assert_eq!(r.suppressed.len(), 1);
         assert_eq!(r.suppressed[0].rule, "R4");
@@ -1593,19 +1213,19 @@ mod tests {
     #[test]
     fn r5_fires_on_read_to_end_in_server_crate_only() {
         let src = "fn f(s: &mut TcpStream) -> Vec<u8> {\n  let mut b = Vec::new();\n  s.read_to_end(&mut b).ok();\n  b\n}";
-        let r = run(&Config::workspace(), "crates/geo-serve/src/server.rs", src);
+        let r = run("crates/geo-serve/src/server.rs", src);
         assert_eq!(r.diagnostics.len(), 1, "{:?}", r.diagnostics);
         assert_eq!(r.diagnostics[0].rule, "R5");
         assert_eq!(r.diagnostics[0].line, 3);
         assert!(r.diagnostics[0].rationale.contains("read_to_end"));
         // The same code outside geo-serve is out of scope.
-        assert!(run(&Config::workspace(), "crates/core/src/lib.rs", src).is_clean());
+        assert!(run("crates/core/src/lib.rs", src).is_clean());
     }
 
     #[test]
     fn r5_fires_on_a_budget_less_read_loop() {
         let src = "fn f(s: &mut TcpStream, buf: &mut Vec<u8>) {\n  let mut chunk = [0u8; 4096];\n  loop {\n    let n = match s.read(&mut chunk) { Ok(0) | Err(_) => break, Ok(n) => n };\n    buf.extend_from_slice(&chunk[..n]);\n  }\n}";
-        let r = run(&Config::workspace(), "crates/geo-serve/src/server.rs", src);
+        let r = run("crates/geo-serve/src/server.rs", src);
         assert_eq!(r.diagnostics.len(), 1, "{:?}", r.diagnostics);
         assert_eq!(r.diagnostics[0].rule, "R5");
         assert_eq!(r.diagnostics[0].line, 3);
@@ -1616,10 +1236,10 @@ mod tests {
         // `MAX_INBUF` (case-insensitive `max`) marks the loop as bounded;
         // so would `budget`, `limit` or `bound` in any identifier.
         let src = "fn f(s: &mut TcpStream, buf: &mut Vec<u8>) {\n  let mut chunk = [0u8; 4096];\n  loop {\n    let n = match s.read(&mut chunk) { Ok(0) | Err(_) => break, Ok(n) => n };\n    if buf.len() + n > MAX_INBUF { break; }\n    buf.extend_from_slice(&chunk[..n]);\n  }\n}";
-        assert!(run(&Config::workspace(), "crates/geo-serve/src/server.rs", src).is_clean());
+        assert!(run("crates/geo-serve/src/server.rs", src).is_clean());
         // A bound in the `while` head counts too.
         let head = "fn f(s: &mut TcpStream, buf: &mut Vec<u8>) {\n  let mut chunk = [0u8; 64];\n  while buf.len() < line_limit {\n    let n = match s.read(&mut chunk) { Ok(0) | Err(_) => break, Ok(n) => n };\n    buf.extend_from_slice(&chunk[..n]);\n  }\n}";
-        assert!(run(&Config::workspace(), "crates/geo-serve/src/server.rs", head).is_clean());
+        assert!(run("crates/geo-serve/src/server.rs", head).is_clean());
     }
 
     #[test]
@@ -1627,26 +1247,16 @@ mod tests {
         // Growth without a read (building a reply) is fine...
         let grow_only =
             "fn f(out: &mut Vec<u8>, xs: &[u8]) {\n  for x in xs {\n    out.push(*x);\n  }\n}";
-        assert!(run(
-            &Config::workspace(),
-            "crates/geo-serve/src/server.rs",
-            grow_only
-        )
-        .is_clean());
+        assert!(run("crates/geo-serve/src/server.rs", grow_only).is_clean());
         // ...and so is a read into a fixed scratch that is never kept.
         let read_only = "fn f(s: &mut TcpStream) {\n  let mut chunk = [0u8; 64];\n  loop {\n    if s.read(&mut chunk).is_err() { break; }\n  }\n}";
-        assert!(run(
-            &Config::workspace(),
-            "crates/geo-serve/src/server.rs",
-            read_only
-        )
-        .is_clean());
+        assert!(run("crates/geo-serve/src/server.rs", read_only).is_clean());
     }
 
     #[test]
     fn r5_allow_directive_suppresses_with_reason() {
         let src = "fn f(s: &mut TcpStream) -> Vec<u8> {\n  let mut b = Vec::new();\n  // geo-lint: allow(R5, reason = \"one-shot admin dump, bounded by the peer\")\n  s.read_to_end(&mut b).ok();\n  b\n}";
-        let r = run(&Config::workspace(), "crates/geo-serve/src/server.rs", src);
+        let r = run("crates/geo-serve/src/server.rs", src);
         assert!(r.is_clean(), "{:?}", r.diagnostics);
         assert_eq!(r.suppressed.len(), 1);
         assert_eq!(r.suppressed[0].rule, "R5");
@@ -1655,31 +1265,27 @@ mod tests {
     #[test]
     fn r2_fires_everywhere() {
         let src = "static mut COUNTER: u32 = 0;";
-        let r = run(&Config::workspace(), "crates/bench/src/lib.rs", src);
+        let r = run("crates/bench/src/lib.rs", src);
         assert_eq!(r.diagnostics.len(), 1);
         assert_eq!(r.diagnostics[0].rule, "R2");
     }
 
     #[test]
     fn r3_fires_on_unbounded_retry_loops_in_retry_crates_only() {
-        let src = "fn f() {\n  loop {\n    match ping() {\n      Err(PlatformError::ServerError) => continue,\n      _ => break,\n    }\n  }\n}";
+        let src = "fn f() {\n  loop {\n    match ping() {\n      Err(ApiFault::ServerError) => continue,\n      _ => break,\n    }\n  }\n}";
         let r = det(src);
         assert_eq!(r.diagnostics.len(), 1, "{:?}", r.diagnostics);
         assert_eq!(r.diagnostics[0].rule, "R3");
         assert_eq!(r.diagnostics[0].line, 2);
         // atlas-sim is in scope too; bench is not.
-        let atlas = run(
-            &Config::workspace(),
-            "crates/atlas-sim/src/platform.rs",
-            src,
-        );
+        let atlas = run("crates/atlas-sim/src/platform.rs", src);
         assert_eq!(atlas.diagnostics.len(), 1, "{:?}", atlas.diagnostics);
-        assert!(run(&Config::workspace(), "crates/bench/src/lib.rs", src).is_clean());
+        assert!(run("crates/bench/src/lib.rs", src).is_clean());
     }
 
     #[test]
     fn r3_fires_on_while_true_retry() {
-        let src = "fn f(e: &PlatformError) {\n  while true {\n    if e.is_retryable() { continue; }\n    break;\n  }\n}";
+        let src = "fn f() {\n  while true {\n    if matches!(call(), Err(ApiFault::Timeout)) { continue; }\n    break;\n  }\n}";
         let r = det(src);
         assert_eq!(r.diagnostics.len(), 1, "{:?}", r.diagnostics);
         assert_eq!(r.diagnostics[0].rule, "R3");
@@ -1697,7 +1303,7 @@ mod tests {
 
     #[test]
     fn r3_allows_attempt_bounded_loops_and_fault_free_loops() {
-        let bounded = "fn f() {\n  let mut attempt = 0;\n  loop {\n    attempt += 1;\n    if attempt >= 4 { break; }\n    match ping() {\n      Err(e) if e.is_retryable() => continue,\n      _ => break,\n    }\n  }\n}";
+        let bounded = "fn f() {\n  let mut attempt = 0;\n  loop {\n    attempt += 1;\n    if attempt >= 4 { break; }\n    match ping() {\n      Err(ApiFault::RateLimited) => continue,\n      _ => break,\n    }\n  }\n}";
         assert!(det(bounded).is_clean(), "{:?}", det(bounded).diagnostics);
         // A loop with no retryable error handling is not a retry loop.
         let plain = "fn f() { loop { if done() { break; } } }";
@@ -1705,7 +1311,7 @@ mod tests {
     }
 
     fn hot(src: &str) -> Report {
-        run(&Config::workspace(), "crates/net-sim/src/hotpath.rs", src)
+        run("crates/net-sim/src/hotpath.rs", src)
     }
 
     #[test]
@@ -1733,7 +1339,7 @@ mod tests {
         assert!(hot(clean).is_clean(), "{:?}", hot(clean).diagnostics);
         // Markers outside hot-path crates are inert documentation.
         let src = "// geo-lint: hot-path\nfn f() -> Vec<u8> { vec![0] }";
-        let r = run(&Config::workspace(), "crates/core/src/lib.rs", src);
+        let r = run("crates/core/src/lib.rs", src);
         assert!(r.is_clean(), "{:?}", r.diagnostics);
     }
 

@@ -6,11 +6,11 @@
 //! crates and build output are skipped. Results are sorted so reports are
 //! byte-stable across filesystems.
 
-use crate::rules::Config;
+use crate::rules::VENDORED_CRATES;
 use std::path::{Path, PathBuf};
 
 /// Collects root-relative (`/`-separated) paths of all files to lint.
-pub fn discover(root: &Path, cfg: &Config) -> std::io::Result<Vec<String>> {
+pub fn discover(root: &Path) -> std::io::Result<Vec<String>> {
     let mut files = Vec::new();
 
     let crates_dir = root.join("crates");
@@ -18,7 +18,7 @@ pub fn discover(root: &Path, cfg: &Config) -> std::io::Result<Vec<String>> {
         for entry in std::fs::read_dir(&crates_dir)? {
             let entry = entry?;
             let name = entry.file_name().to_string_lossy().into_owned();
-            if !entry.path().is_dir() || cfg.vendored_crates.iter().any(|v| v == &name) {
+            if !entry.path().is_dir() || VENDORED_CRATES.contains(&name.as_str()) {
                 continue;
             }
             for sub in ["src", "tests", "examples", "benches"] {

@@ -1,9 +1,8 @@
-//! Golden-file tests for call-graph mode: run the linter with
-//! reachability analysis over a fixture workspace that violates every
-//! transitive rule, and compare both renderings byte-for-byte.
+//! Golden-file tests for the call graph: run the linter over a fixture
+//! workspace whose every violation is visible only across calls (the
+//! reachable parts of D1, R1, R4 and P1, and L1), and compare both
+//! renderings byte-for-byte.
 
-use geo_lint::rules::Config;
-use geo_lint::CheckOptions;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -18,8 +17,7 @@ fn golden(name: &str) -> String {
 }
 
 fn check_transitive() -> geo_lint::report::Report {
-    let opts = CheckOptions { call_graph: true };
-    geo_lint::check_with(&fixture("transitive"), &Config::workspace(), opts).unwrap()
+    geo_lint::check(&fixture("transitive")).unwrap()
 }
 
 #[test]
@@ -48,7 +46,7 @@ fn transitive_fixture_matches_golden_json() {
 #[test]
 fn every_transitive_rule_fires_exactly_once_with_a_full_chain() {
     let report = check_transitive();
-    for rule in ["R1T", "R4T", "D1T", "P1T", "L1"] {
+    for rule in ["R1", "R4", "D1", "P1", "L1"] {
         let hits: Vec<_> = report
             .diagnostics
             .iter()
@@ -62,17 +60,17 @@ fn every_transitive_rule_fires_exactly_once_with_a_full_chain() {
         );
     }
     // Witness chains start at the root, end at the sink's function.
-    let r1t = report.diagnostics.iter().find(|d| d.rule == "R1T").unwrap();
+    let r1 = report.diagnostics.iter().find(|d| d.rule == "R1").unwrap();
     assert_eq!(
-        r1t.chain,
+        r1.chain,
         vec![
             "geo_serve::server::worker_loop",
             "net_sim::shared::risky_get"
         ]
     );
-    let d1t = report.diagnostics.iter().find(|d| d.rule == "D1T").unwrap();
+    let d1 = report.diagnostics.iter().find(|d| d.rule == "D1").unwrap();
     assert_eq!(
-        d1t.chain,
+        d1.chain,
         vec!["world_sim::sim::step", "geo_serve::util::stamp"]
     );
 }
@@ -89,17 +87,17 @@ fn unresolved_calls_are_reported_not_treated_as_safe() {
     assert_eq!(u.from, "geo_serve::server::worker_loop");
     assert_eq!(u.why, "unresolved path");
     // And the graph summary counts it.
-    assert_eq!(report.graph.as_ref().unwrap().unresolved, 1);
+    assert_eq!(report.graph.unresolved, 1);
 }
 
 #[test]
 fn transitive_allow_suppresses_and_scoped_out_allow_is_stale() {
     let report = check_transitive();
-    // The fn-scoped allow(R1T) on `pick` suppresses its finding…
+    // The fn-scoped allow(R1) on `pick` suppresses its finding…
     assert_eq!(report.suppressed.len(), 1);
-    assert_eq!(report.suppressed[0].rule, "R1T");
+    assert_eq!(report.suppressed[0].rule, "R1");
     assert!(report.suppressed[0].reason.contains("caller contract"));
-    // …and the allow(D1) in a crate where D1 never runs is flagged stale
+    // …and the allow(R5) in a crate where R5 never runs is flagged stale
     // with the scoped-out rationale, not silently ignored.
     let x2 = report.diagnostics.iter().find(|d| d.rule == "X2").unwrap();
     assert!(
@@ -109,28 +107,10 @@ fn transitive_allow_suppresses_and_scoped_out_allow_is_stale() {
 }
 
 #[test]
-fn without_call_graph_the_fixture_has_no_transitive_findings() {
-    // The same tree linted per-file only: transitive rules stay silent,
-    // their allows are exempt from X2 (the graph never ran), and the
-    // per-file rules see nothing wrong with any single file.
-    let report = geo_lint::check(&fixture("transitive"), &Config::workspace()).unwrap();
-    let rules: Vec<&str> = report.diagnostics.iter().map(|d| d.rule.as_str()).collect();
-    assert_eq!(rules, vec!["X2"], "{:?}", report.diagnostics);
-    assert!(report.graph.is_none());
-    assert!(report.unresolved.is_empty());
-}
-
-#[test]
 fn cli_call_graph_json_carries_chains_and_exits_nonzero() {
     let root = fixture("transitive");
     let out = Command::new(env!("CARGO_BIN_EXE_geo-lint"))
-        .args([
-            "check",
-            "--json",
-            "--call-graph",
-            "--root",
-            root.to_str().unwrap(),
-        ])
+        .args(["check", "--json", "--root", root.to_str().unwrap()])
         .output()
         .expect("spawn geo-lint");
     assert_eq!(out.status.code(), Some(1));

@@ -1,4 +1,4 @@
-//! Fixture serving path: the serve-entry root from which R1T/R4T walk.
+//! Fixture serving path: the serve-entry root from which R1 and R4 walk.
 
 use net_sim::shared::risky_get;
 
@@ -10,7 +10,7 @@ fn worker_loop(state: &State) {
     mystery::frobnicate(v + w);
 }
 
-// geo-lint: allow(R1T, reason = "index bounded by the caller contract (cursor < items.len() holds at every call site)")
+// geo-lint: allow(R1, reason = "index bounded by the caller contract (cursor < items.len() holds at every call site)")
 fn pick(xs: &[u32], i: usize) -> u32 {
     xs[i]
 }

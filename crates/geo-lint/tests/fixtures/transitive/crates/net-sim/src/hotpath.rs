@@ -1,5 +1,5 @@
 //! Fixture hot path: the marked function is clean in its own body, but
-//! the helper it calls allocates — visible only through P1T.
+//! the helper it calls allocates — visible only to P1's reachable part.
 
 // geo-lint: hot-path
 pub fn hot(n: usize) -> usize {

@@ -3,7 +3,7 @@
 pub fn retry_forever() {
     loop {
         match ping() {
-            Err(PlatformError::ServerError) => continue,
+            Err(ApiFault::ServerError) => continue,
             _ => break,
         }
     }
@@ -17,7 +17,7 @@ pub fn retry_bounded() {
             break;
         }
         match ping() {
-            Err(e) if e.is_retryable() => continue,
+            Err(ApiFault::Timeout) => continue,
             _ => break,
         }
     }

@@ -2,7 +2,6 @@
 //! violations and compare the full human report byte-for-byte, plus CLI
 //! exit-code and JSON-mode checks through the real binary.
 
-use geo_lint::rules::Config;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -18,7 +17,7 @@ fn golden(name: &str) -> String {
 
 #[test]
 fn violations_fixture_matches_golden_report() {
-    let report = geo_lint::check(&fixture("violations"), &Config::workspace()).unwrap();
+    let report = geo_lint::check(&fixture("violations")).unwrap();
     let rendered = report.render_human();
     let expected = golden("violations.expected.txt");
     assert_eq!(
@@ -30,7 +29,7 @@ fn violations_fixture_matches_golden_report() {
 
 #[test]
 fn clean_fixture_is_clean() {
-    let report = geo_lint::check(&fixture("clean"), &Config::workspace()).unwrap();
+    let report = geo_lint::check(&fixture("clean")).unwrap();
     assert!(report.is_clean(), "{}", report.render_human());
     assert!(report.suppressed.is_empty());
     assert_eq!(report.files_scanned, 1);
@@ -38,7 +37,7 @@ fn clean_fixture_is_clean() {
 
 #[test]
 fn violations_fixture_finds_every_rule() {
-    let report = geo_lint::check(&fixture("violations"), &Config::workspace()).unwrap();
+    let report = geo_lint::check(&fixture("violations")).unwrap();
     for rule in [
         "D1", "D2", "D3", "P1", "R1", "R2", "R3", "R4", "R5", "X1", "X2",
     ] {
@@ -93,7 +92,7 @@ fn violations_fixture_finds_every_rule() {
 
 #[test]
 fn cfg_test_regions_are_exempt() {
-    let report = geo_lint::check(&fixture("violations"), &Config::workspace()).unwrap();
+    let report = geo_lint::check(&fixture("violations")).unwrap();
     // server.rs has an unwrap inside #[cfg(test)]; only the two serving-path
     // diagnostics (unwrap + panic!) may appear for that file.
     let server: Vec<_> = report
@@ -159,5 +158,8 @@ fn cli_usage_errors_exit_2() {
     let (code, _) = run_cli(&["check", "--root"]);
     assert_eq!(code, 2);
     let (code, _) = run_cli(&["check", "--frobnicate"]);
+    assert_eq!(code, 2);
+    // The call graph always runs; its old opt-in flag is gone.
+    let (code, _) = run_cli(&["check", "--call-graph"]);
     assert_eq!(code, 2);
 }

@@ -98,7 +98,7 @@ const RING_MARGIN_KM: f64 = 1.0;
 /// sampler's own per-sample expressions, so every entry has the bits the
 /// sampler would compute; a process that never refines builds only the
 /// 1,800 entries of the base grid.
-// geo-lint: allow(P1T, reason = "each grid's table is built once per process behind a OnceLock; every later call only reads it")
+// geo-lint: allow(P1, reason = "each grid's table is built once per process behind a OnceLock; every later call only reads it")
 fn bearings(rings: usize) -> &'static [(f64, f64)] {
     type Table = Box<[(f64, f64)]>;
     static TABLES: [OnceLock<Table>; MAX_REFINES + 1] =

@@ -147,7 +147,7 @@ impl HotCache {
         (kind as u64) << 32 | u64::from(prefix)
     }
 
-    // geo-lint: allow(R1T, reason = "index is masked to SHARDS-1 and `shards` is built with exactly SHARDS entries")
+    // geo-lint: allow(R1, reason = "index is masked to SHARDS-1 and `shards` is built with exactly SHARDS entries")
     fn shard(&self, key: u64) -> &Mutex<Shard> {
         // Prefixes are dense in their low bits, so low bits shard well.
         &self.shards[(key as usize) & (SHARDS - 1)]
@@ -179,7 +179,7 @@ impl HotCache {
     /// the first un-referenced slot is replaced. Concurrent inserts of
     /// the same key are benign: both value copies are byte-identical by
     /// the purity argument above, so last-write-wins changes nothing.
-    // geo-lint: allow(R1T, reason = "slot indices come from the shard's own index map and `hand % slots.len()`, both invariantly in bounds")
+    // geo-lint: allow(R1, reason = "slot indices come from the shard's own index map and `hand % slots.len()`, both invariantly in bounds")
     pub fn put(&self, kind: CacheKind, prefix: u32, value: CacheValue) {
         let key = Self::key(kind, prefix);
         let mut shard = self

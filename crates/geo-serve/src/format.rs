@@ -243,15 +243,15 @@ pub fn encode(entries: &[DatasetEntry], world_seed: u64, nonce: u64) -> Vec<u8> 
 }
 
 /// Little-endian readers over a validated range.
-// geo-lint: allow(R1T, reason = "length-checked by every caller: decode verifies the buffer covers each fixed-offset read before calling")
+// geo-lint: allow(R1, reason = "length-checked by every caller: decode verifies the buffer covers each fixed-offset read before calling")
 fn read_u16(b: &[u8], at: usize) -> u16 {
     u16::from_le_bytes([b[at], b[at + 1]])
 }
-// geo-lint: allow(R1T, reason = "length-checked by every caller: decode verifies the buffer covers each fixed-offset read before calling")
+// geo-lint: allow(R1, reason = "length-checked by every caller: decode verifies the buffer covers each fixed-offset read before calling")
 fn read_u32(b: &[u8], at: usize) -> u32 {
     u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]])
 }
-// geo-lint: allow(R1T, reason = "length-checked by every caller: decode verifies the buffer covers each fixed-offset read before calling")
+// geo-lint: allow(R1, reason = "length-checked by every caller: decode verifies the buffer covers each fixed-offset read before calling")
 fn read_u64(b: &[u8], at: usize) -> u64 {
     u64::from_le_bytes([
         b[at],
@@ -267,7 +267,7 @@ fn read_u64(b: &[u8], at: usize) -> u64 {
 
 /// Parses and fully validates `.igds` bytes: magic, version, length,
 /// checksum, prefix ordering, evidence tags and record bounds.
-// geo-lint: allow(R1T, reason = "every index is guarded: the exact byte length is checked up front and each evidence read is bounds-tested before slicing")
+// geo-lint: allow(R1, reason = "every index is guarded: the exact byte length is checked up front and each evidence read is bounds-tested before slicing")
 pub fn decode(bytes: &[u8]) -> Result<(Header, Vec<DatasetEntry>), FormatError> {
     if bytes.len() < HEADER_LEN {
         return Err(FormatError::Truncated {

@@ -109,7 +109,7 @@ impl<C> Registry<C> {
     }
 
     /// Registers a connection, returning its token (lowest free slot).
-    // geo-lint: allow(R1T, reason = "slot index comes from `position` over the same vec in the same &mut borrow")
+    // geo-lint: allow(R1, reason = "slot index comes from `position` over the same vec in the same &mut borrow")
     pub fn register(&mut self, conn: C, interest: Interest) -> Token {
         self.live += 1;
         let slot = Slot {

@@ -319,12 +319,12 @@ pub enum Decoded<T> {
     NeedMore,
 }
 
-// geo-lint: allow(R1T, reason = "length-checked by every caller: decode_header/check_frame verify the buffer covers the read before calling")
+// geo-lint: allow(R1, reason = "length-checked by every caller: decode_header/check_frame verify the buffer covers the read before calling")
 fn read_u32(b: &[u8], at: usize) -> u32 {
     u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]])
 }
 
-// geo-lint: allow(R1T, reason = "length-checked by every caller: check_frame verifies HEADER_LEN + body_len + CHECKSUM_LEN bytes are present")
+// geo-lint: allow(R1, reason = "length-checked by every caller: check_frame verifies HEADER_LEN + body_len + CHECKSUM_LEN bytes are present")
 fn read_u64(b: &[u8], at: usize) -> u64 {
     u64::from_le_bytes([
         b[at],
@@ -341,7 +341,7 @@ fn read_u64(b: &[u8], at: usize) -> u64 {
 /// Validates the fixed header shared by both frame directions; returns
 /// `(version, opcode_byte, status_or_reserved, body_len)` once enough
 /// bytes are present. The caller interprets byte 3 per direction.
-// geo-lint: allow(R1T, reason = "fixed-offset reads are guarded by the `buf.len() < HEADER_LEN` NeedMore return above them")
+// geo-lint: allow(R1, reason = "fixed-offset reads are guarded by the `buf.len() < HEADER_LEN` NeedMore return above them")
 fn decode_header(buf: &[u8], magic: u8) -> Result<Decoded<(u8, u8, u8, usize)>, ProtoError> {
     let Some(&first) = buf.first() else {
         return Ok(Decoded::NeedMore);
@@ -363,7 +363,7 @@ fn decode_header(buf: &[u8], magic: u8) -> Result<Decoded<(u8, u8, u8, usize)>, 
 }
 
 /// Checks a complete frame's trailing checksum.
-// geo-lint: allow(R1T, reason = "slice and checksum read are guarded by the `buf.len() < total` NeedMore return")
+// geo-lint: allow(R1, reason = "slice and checksum read are guarded by the `buf.len() < total` NeedMore return")
 fn check_frame(buf: &[u8], body_len: usize) -> Result<Decoded<()>, ProtoError> {
     let total = HEADER_LEN + body_len + CHECKSUM_LEN;
     if buf.len() < total {
@@ -378,7 +378,7 @@ fn check_frame(buf: &[u8], body_len: usize) -> Result<Decoded<()>, ProtoError> {
 }
 
 /// Decodes one request frame from the front of `buf`, if complete.
-// geo-lint: allow(R1T, reason = "body slice is taken only after check_frame confirms the full frame is buffered")
+// geo-lint: allow(R1, reason = "body slice is taken only after check_frame confirms the full frame is buffered")
 pub fn try_decode_request(buf: &[u8]) -> Result<Decoded<Request>, ProtoError> {
     let (_, op_byte, reserved, body_len) = match decode_header(buf, REQ_MAGIC)? {
         Decoded::Frame(h, _) => h,
@@ -586,7 +586,7 @@ impl ResponseWriter {
     }
 
     /// Patches `body_len`, appends the checksum, and seals the frame.
-    // geo-lint: allow(R1T, reason = "begin() wrote HEADER_LEN bytes at `start`, so the patched range exists by construction")
+    // geo-lint: allow(R1, reason = "begin() wrote HEADER_LEN bytes at `start`, so the patched range exists by construction")
     pub fn finish(self, out: &mut Vec<u8>) {
         let body_len = out.len() - self.start - HEADER_LEN;
         let len_bytes = (body_len as u32).to_le_bytes();

@@ -666,7 +666,7 @@ enum Sweep {
 /// Reads, parses, answers, and flushes one connection. Nonblocking
 /// throughout: every `WouldBlock` just ends that phase until the next
 /// sweep.
-// geo-lint: allow(R1T, reason = "cursor slices hold `parsed <= inbuf.len()`, `sent <= out.len()`, and `n <= scratch.len()` from read()")
+// geo-lint: allow(R1, reason = "cursor slices hold `parsed <= inbuf.len()`, `sent <= out.len()`, and `n <= scratch.len()` from read()")
 fn sweep_conn(
     serving: &Serving,
     g: &Generation,

@@ -155,7 +155,7 @@ fn pack(asn: AsId, city: CityId) -> u64 {
 }
 
 /// A lane of `n` zeroed slots (zero = not yet computed).
-// geo-lint: allow(P1T, reason = "lazy lane allocation behind OnceLock, once per lane or row; later calls only read the memo")
+// geo-lint: allow(P1, reason = "lazy lane allocation behind OnceLock, once per lane or row; later calls only read the memo")
 fn zeroed<T: Default>(n: usize) -> Box<[T]> {
     std::iter::repeat_with(T::default).take(n).collect()
 }
@@ -274,7 +274,7 @@ struct WorldLane {
 }
 
 impl WorldLane {
-    // geo-lint: allow(P1T, reason = "one-time lazy construction behind OnceLock; amortized across the whole campaign, never re-entered")
+    // geo-lint: allow(P1, reason = "one-time lazy construction behind OnceLock; amortized across the whole campaign, never re-entered")
     fn build(world: &World) -> WorldLane {
         let n_cities = world.cities.len();
         let n_as = world.ases.len();
