@@ -191,7 +191,8 @@ impl fmt::Display for DatasetEntry {
 /// Each prefix is resolved independently — a pure function of
 /// `(world, net, res, vps, prefix, nonce)` — so the campaign fans out over
 /// [`geo_model::runtime::par_map_indexed`] and the result is bit-identical
-/// at any `IPGEO_THREADS` setting.
+/// at any `IPGEO_THREADS` setting. The network's lanes are built first, on
+/// the calling thread ([`Network::prepare`]).
 pub fn build_dataset(
     world: &World,
     net: &Network,
@@ -200,6 +201,7 @@ pub fn build_dataset(
     prefixes: &[Prefix24],
     nonce: u64,
 ) -> (Vec<DatasetEntry>, CampaignReport) {
+    net.prepare(world);
     let per: Vec<(Option<DatasetEntry>, TargetLog)> =
         geo_model::runtime::par_map_indexed(prefixes.len(), |i| {
             let mut log = TargetLog::default();

@@ -122,6 +122,7 @@ pub fn build_dataset_fused(
     }
     let table = CodeTable::build(world);
     let db = GeoDatabase::maxmind_like(world, prefixes, world.config.seed.derive("fused-db"));
+    net.prepare(world);
     let per: Vec<(Option<DatasetEntry>, TargetLog, TargetLog)> =
         geo_model::runtime::par_map_indexed(prefixes.len(), |i| {
             let mut base_log = TargetLog::default();

@@ -24,7 +24,8 @@
 //!
 //! D2, D3, R2, R3 and R5 scan one file's tokens (`rules`). The others read
 //! an item-level parser (`parser`), which extracts every `fn` with its
-//! calls and sinks, over a best-effort cross-crate call graph
+//! calls and sinks, and the sinks outside fn bodies (clock identifiers,
+//! and `macro_rules!` templates), over a best-effort cross-crate call graph
 //! (`callgraph`): each of D1, R1, R4 and P1 flags a sink inside its own
 //! scope directly, and one outside it when a reachability walk (`reach`)
 //! gets there from the rule's roots.

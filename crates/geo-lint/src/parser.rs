@@ -9,6 +9,12 @@
 //! those constructs: D1, R1, R4 and P1 read nothing else. Everything it
 //! cannot classify is preserved as an unresolved call downstream, never
 //! silently dropped.
+//!
+//! Constructs outside every fn body are item-level sinks, which no graph
+//! node owns: clock identifiers anywhere (imports, statics, signatures),
+//! and every sink of a `macro_rules!` template outside the fns it
+//! defines, since each expansion runs those tokens. Expansions stay
+//! opaque: a `name!(…)` invocation is neither a call nor a sink.
 
 use crate::lexer::{Comment, Token, TokenKind};
 
@@ -103,9 +109,10 @@ pub(crate) struct ParsedFile {
     pub imports: Vec<(String, Vec<String>)>,
     /// `use path::*` glob prefixes.
     pub globs: Vec<Vec<String>>,
-    /// Clock sinks outside every fn body (imports, statics, signatures).
-    /// D1 flags them in deterministic crates; no graph node owns them.
-    pub item_clocks: Vec<Sink>,
+    /// Sinks outside every fn body: clock identifiers anywhere, and all
+    /// sinks of a `macro_rules!` template. The direct parts of D1, R1 and
+    /// R4 flag the kinds they read; no graph node owns them.
+    pub item_sinks: Vec<Sink>,
 }
 
 /// Marker comment spellings the parser attaches to functions.
@@ -174,6 +181,8 @@ pub(crate) fn parse(code: &[Token], comments: &[Comment]) -> ParsedFile {
     let mut depth = 0i32;
     let mut pending_scope: Option<ScopeKind> = None;
     let mut pending_item_line: Option<usize> = None;
+    // Tokens before this index are inside a `macro_rules!` template.
+    let mut template_end = 0usize;
     let mut i = 0usize;
 
     while i < code.len() {
@@ -265,6 +274,13 @@ pub(crate) fn parse(code: &[Token], comments: &[Comment]) -> ParsedFile {
                             None => i += 1,
                         }
                     }
+                    "macro_rules" if !in_fn && code.get(i + 1).is_some_and(|x| x.is_punct('!')) => {
+                        // `macro_rules! name { … }`: the template's body
+                        // still parses as items, so fns it defines are
+                        // graph nodes as before.
+                        template_end = template_end.max(past_close(code, i + 3));
+                        i += 1;
+                    }
                     "fn" => {
                         match parse_fn_header(code, i) {
                             Some((name, body_brace)) => {
@@ -293,6 +309,10 @@ pub(crate) fn parse(code: &[Token], comments: &[Comment]) -> ParsedFile {
                     _ if in_fn => {
                         i = detect_call_or_sink(code, i, &scopes, &mut out);
                     }
+                    _ if i < template_end => {
+                        template_sink(code, i, &mut out);
+                        i += 1;
+                    }
                     _ => {
                         item_clocks(code, i..i + 1, &mut out);
                         i += 1;
@@ -320,11 +340,35 @@ fn clock_at(code: &[Token], i: usize) -> Option<String> {
     now.then(|| "`Instant::now()`".to_string())
 }
 
+/// The sink a `name!` macro invocation is.
+fn macro_sink(name: &str) -> Option<(SinkKind, String)> {
+    match name {
+        "panic" | "unreachable" | "todo" | "unimplemented" => {
+            Some((SinkKind::Panic, format!("`{name}!`")))
+        }
+        "vec" | "format" => Some((SinkKind::Alloc, format!("`{name}!`"))),
+        _ => None,
+    }
+}
+
+/// The sink a `.name(…)` method call is.
+fn method_sink(name: &str) -> Option<(SinkKind, String)> {
+    let kind = match name {
+        "unwrap" | "expect" => SinkKind::Panic,
+        "read_line" | "read_exact" => SinkKind::BlockingRead,
+        "lock" => SinkKind::LockAcquire,
+        "write" | "write_all" => SinkKind::Write,
+        m if ALLOC_CHAIN_METHODS.contains(&m) => SinkKind::Alloc,
+        _ => return None,
+    };
+    Some((kind, format!("`.{name}()`")))
+}
+
 /// Records the clock identifiers in `range`, which no fn body owns.
 fn item_clocks(code: &[Token], range: std::ops::Range<usize>, out: &mut ParsedFile) {
     for k in range {
         if let Some(what) = clock_at(code, k) {
-            out.item_clocks.push(Sink {
+            out.item_sinks.push(Sink {
                 kind: SinkKind::Clock,
                 line: code[k].line,
                 order: k,
@@ -332,6 +376,64 @@ fn item_clocks(code: &[Token], range: std::ops::Range<usize>, out: &mut ParsedFi
             });
         }
     }
+}
+
+/// Records the sink `code[i]` starts inside a `macro_rules!` template
+/// and outside the fns it defines. Tokens are read one at a time, so a
+/// path's inner segments (`std::thread::spawn`) are seen too.
+fn template_sink(code: &[Token], i: usize, out: &mut ParsedFile) {
+    let Some(name) = code[i].ident().map(plain) else {
+        return;
+    };
+    let next_is = |c: char| code.get(i + 1).is_some_and(|x| x.is_punct(c));
+    let back_is = |k: usize, c: char| i >= k && code[i - k].is_punct(c);
+    let found = if let Some(what) = clock_at(code, i) {
+        Some((SinkKind::Clock, what))
+    } else if next_is('!') {
+        macro_sink(name)
+    } else if back_is(1, '.') && next_is('(') {
+        method_sink(name)
+    } else if name == "spawn"
+        && next_is('(')
+        && i >= 3
+        && back_is(1, ':')
+        && back_is(2, ':')
+        && code[i - 3].is_ident("thread")
+    {
+        Some((SinkKind::Spawn, "`thread::spawn`".to_string()))
+    } else {
+        None
+    };
+    if let Some((kind, what)) = found {
+        out.item_sinks.push(Sink {
+            kind,
+            line: code[i].line,
+            order: i,
+            what,
+        });
+    }
+}
+
+/// One past the bracket that closes the `(`, `[` or `{` at `open`,
+/// counting all three alike; `open` itself when no bracket opens there,
+/// and the end of the file when it never closes.
+fn past_close(code: &[Token], open: usize) -> usize {
+    let opens = |t: &Token| matches!(t.kind, TokenKind::Punct('(' | '[' | '{'));
+    if !code.get(open).is_some_and(opens) {
+        return open;
+    }
+    let mut depth = 0i32;
+    for (k, t) in code.iter().enumerate().skip(open) {
+        if opens(t) {
+            depth += 1;
+        } else if matches!(t.kind, TokenKind::Punct(')' | ']' | '}')) {
+            depth -= 1;
+            if depth == 0 {
+                return k + 1;
+            }
+        }
+    }
+    code.len()
 }
 
 /// The innermost enclosing fn index, if any.
@@ -567,31 +669,16 @@ fn detect_call_or_sink(code: &[Token], i: usize, scopes: &[Scope], out: &mut Par
 
     // Macros: `name!…`.
     if next_is(1, '!') {
-        match name {
-            "panic" | "unreachable" | "todo" | "unimplemented" => {
-                push_sink(out, SinkKind::Panic, format!("`{name}!`"));
-            }
-            "vec" | "format" => push_sink(out, SinkKind::Alloc, format!("`{name}!`")),
-            _ => {}
+        if let Some((kind, what)) = macro_sink(name) {
+            push_sink(out, kind, what);
         }
         return i + 2;
     }
 
     // Method call: `recv.name(…)`.
     if prev_is('.') && next_is(1, '(') {
-        match name {
-            "unwrap" | "expect" => push_sink(out, SinkKind::Panic, format!("`.{name}()`")),
-            "read_line" | "read_exact" => {
-                push_sink(out, SinkKind::BlockingRead, format!("`.{name}()`"));
-            }
-            "lock" => push_sink(out, SinkKind::LockAcquire, "`.lock()`".into()),
-            m if ALLOC_CHAIN_METHODS.contains(&m) => {
-                push_sink(out, SinkKind::Alloc, format!("`.{name}()`"));
-            }
-            _ => {}
-        }
-        if name == "write" || name == "write_all" {
-            push_sink(out, SinkKind::Write, format!("`.{name}()`"));
+        if let Some((kind, what)) = method_sink(name) {
+            push_sink(out, kind, what);
         }
         if !SINK_ONLY_METHODS.contains(&name) {
             let recv_is_self =
@@ -910,6 +997,29 @@ mod tests {
             .filter(|s| s.kind == SinkKind::Clock)
             .collect();
         assert_eq!(bare.len(), 1);
+    }
+
+    #[test]
+    fn macro_templates_hold_item_sinks() {
+        // Inside a template, outside its fns: every sink is item-level.
+        // Outside a template: only clock identifiers are.
+        let src = "macro_rules! m (\n  () => { x.expect(\"e\"); panic!(); std::thread::spawn(f); }\n);\nstatic S: u8 = panic!();\nmacro_rules! n { () => { fn f() { y.unwrap(); } } }";
+        let p = parse_src(src);
+        let items: Vec<(SinkKind, usize, &str)> = p
+            .item_sinks
+            .iter()
+            .map(|s| (s.kind, s.line, s.what.as_str()))
+            .collect();
+        assert_eq!(
+            items,
+            vec![
+                (SinkKind::Panic, 2, "`.expect()`"),
+                (SinkKind::Panic, 2, "`panic!`"),
+                (SinkKind::Spawn, 2, "`thread::spawn`"),
+            ]
+        );
+        assert_eq!(p.fns.len(), 1, "a template's fn is still an item");
+        assert_eq!(p.fns[0].sinks[0].kind, SinkKind::Panic);
     }
 
     #[test]

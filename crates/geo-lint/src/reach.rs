@@ -16,13 +16,17 @@
 //! | rule | direct scope | roots | sinks |
 //! |------|--------------|-------|-------|
 //! | `D1` | `src/` of deterministic crates, fn bodies and items | every `src/` fn of clock-sensitive crates | wall clock / ambient entropy |
-//! | `R1` | `src/` of server crates | `// geo-lint: serve-entry` fns there | panic family; `expr[…]` (reachable only) |
+//! | `R1` | `src/` of server crates, fn bodies and macro templates | `// geo-lint: serve-entry` fns there | panic family; `expr[…]` (reachable only) |
 //! | `R4` | same, minus `// geo-lint: worker-bootstrap` fns | same | spawn/blocking reads; lock-across-write (reachable only) |
 //! | `P1` | `// geo-lint: hot-path` fns of hot-path crates | those fns | heap allocation |
 //! | `L1` | — | — | lock-acquisition-order cycles |
+//!
+//! A sink outside every fn body (the parser's item-level sinks: clock
+//! identifiers anywhere, and every sink of a `macro_rules!` template) has
+//! no graph node, so only a direct part reports it.
 
 use crate::callgraph::{self, FileInput, FnNode, Graph};
-use crate::parser::SinkKind;
+use crate::parser::{Sink, SinkKind};
 use crate::rules::{
     in_src_of, CLOCK_ROOT_CRATES, DETERMINISTIC_CRATES, HOT_PATH_CRATES, SERVER_CRATES,
 };
@@ -65,7 +69,7 @@ pub(crate) struct Outcome {
 }
 
 /// Runs every graph rule. `files` are the inputs `graph` was built from;
-/// D1 also reads their item-level clock sinks.
+/// D1, R1 and R4 also read their item-level sinks.
 pub(crate) fn analyze(graph: &Graph, files: &[FileInput<'_>]) -> Outcome {
     let has = |n: &FnNode, marker: &str| n.markers.iter().any(|m| m == marker);
     let serve = bfs(graph, |n| {
@@ -78,8 +82,8 @@ pub(crate) fn analyze(graph: &Graph, files: &[FileInput<'_>]) -> Outcome {
 
     let mut findings: Vec<Finding> = Vec::new();
     run_d1(graph, files, &clock, &mut findings);
-    run_r1(graph, &serve, &mut findings);
-    run_r4(graph, &serve, &mut findings);
+    run_r1(graph, files, &serve, &mut findings);
+    run_r4(graph, files, &serve, &mut findings);
     run_p1(graph, &hot, &mut findings);
     run_l1(graph, &mut findings);
     // Direct findings first: where one line has a direct and a reachable
@@ -192,10 +196,36 @@ impl Rule<'_> {
             fn_window: (!direct).then_some((n.item_line, n.sig_line)),
         });
     }
+
+    /// Pushes a direct finding for every item-level sink that `keep`
+    /// accepts in the files under the `src/` of `crates`. No graph node
+    /// owns one, so the finding has no chain.
+    fn push_items(
+        &self,
+        files: &[FileInput<'_>],
+        crates: &[&str],
+        keep: impl Fn(&Sink) -> bool,
+        why: impl Fn(&Sink, &str) -> String,
+        out: &mut Vec<Finding>,
+    ) {
+        for f in files.iter().filter(|f| in_src_of(f.rel, crates)) {
+            for s in f.parsed.item_sinks.iter().filter(|s| keep(s)) {
+                out.push(Finding {
+                    rule: self.id,
+                    file: f.rel.to_string(),
+                    line: s.line,
+                    rationale: why(s, self.places[0]),
+                    chain: Vec::new(),
+                    fn_window: None,
+                });
+            }
+        }
+    }
 }
 
 /// D1: wall-clock/entropy in a deterministic crate's `src/`, in a fn body
-/// or at item level (direct), or reachable from a clock-sensitive crate.
+/// or an item-level sink (direct), or reachable from a clock-sensitive
+/// crate.
 fn run_d1(
     graph: &Graph,
     files: &[FileInput<'_>],
@@ -217,21 +247,9 @@ fn run_d1(
              would stop being a pure function of the seed"
         )
     };
-    for f in files
-        .iter()
-        .filter(|f| in_src_of(f.rel, DETERMINISTIC_CRATES))
-    {
-        for s in &f.parsed.item_clocks {
-            out.push(Finding {
-                rule: rule.id,
-                file: f.rel.to_string(),
-                line: s.line,
-                rationale: why(&s.what, rule.places[0]),
-                chain: Vec::new(),
-                fn_window: None,
-            });
-        }
-    }
+    let clock = |s: &Sink| s.kind == SinkKind::Clock;
+    let item_why = |s: &Sink, place: &str| why(&s.what, place);
+    rule.push_items(files, DETERMINISTIC_CRATES, clock, item_why, out);
     for (node, n) in graph.nodes.iter().enumerate() {
         let direct = in_src_of(&n.file, DETERMINISTIC_CRATES);
         for s in n.sinks.iter().filter(|s| s.kind == SinkKind::Clock) {
@@ -240,9 +258,15 @@ fn run_d1(
     }
 }
 
-/// R1: the panic family in a server crate's `src/` (direct) or reachable
-/// from a serving entry point, and `expr[…]` indexing reachable from one.
-fn run_r1(graph: &Graph, parents: &[Option<usize>], out: &mut Vec<Finding>) {
+/// R1: the panic family in a server crate's `src/`, in a fn body or a
+/// macro template (direct), or reachable from a serving entry point, and
+/// `expr[…]` indexing reachable from one.
+fn run_r1(
+    graph: &Graph,
+    files: &[FileInput<'_>],
+    parents: &[Option<usize>],
+    out: &mut Vec<Finding>,
+) {
     let rule = Rule {
         id: "R1",
         graph,
@@ -252,20 +276,20 @@ fn run_r1(graph: &Graph, parents: &[Option<usize>], out: &mut Vec<Finding>) {
             "and is reachable from a serving entry point",
         ],
     };
+    let panic = |s: &Sink| s.kind == SinkKind::Panic;
+    let why = |s: &Sink, place: &str| {
+        format!(
+            "{} can panic {place}; a bad request must not be able to kill a worker",
+            s.what
+        )
+    };
+    rule.push_items(files, SERVER_CRATES, panic, why, out);
     for (node, n) in graph.nodes.iter().enumerate() {
         let direct = in_src_of(&n.file, SERVER_CRATES);
         for s in &n.sinks {
             let what = &s.what;
             match s.kind {
-                SinkKind::Panic => {
-                    let why = |place: &str| {
-                        format!(
-                            "{what} can panic {place}; a bad request must not be able to \
-                             kill a worker"
-                        )
-                    };
-                    rule.push(node, direct, s.line, why, out);
-                }
+                SinkKind::Panic => rule.push(node, direct, s.line, |place| why(s, place), out),
                 SinkKind::Index => {
                     let why = |place: &str| {
                         format!(
@@ -281,11 +305,17 @@ fn run_r1(graph: &Graph, parents: &[Option<usize>], out: &mut Vec<Finding>) {
     }
 }
 
-/// R4: spawns and blocking reads in a server crate's `src/` outside the
-/// `// geo-lint: worker-bootstrap` fn (direct) or reachable from a serving
-/// entry point, and a `.lock()` held across a later `.write*()` in the
-/// same function, reachable from one.
-fn run_r4(graph: &Graph, parents: &[Option<usize>], out: &mut Vec<Finding>) {
+/// R4: spawns and blocking reads in a server crate's `src/`, in a fn body
+/// other than the `// geo-lint: worker-bootstrap` fn or in a macro
+/// template (direct), or reachable from a serving entry point, and a
+/// `.lock()` held across a later `.write*()` in the same function,
+/// reachable from one.
+fn run_r4(
+    graph: &Graph,
+    files: &[FileInput<'_>],
+    parents: &[Option<usize>],
+    out: &mut Vec<Finding>,
+) {
     let rule = Rule {
         id: "R4",
         graph,
@@ -295,20 +325,21 @@ fn run_r4(graph: &Graph, parents: &[Option<usize>], out: &mut Vec<Finding>) {
             "and is reachable from the event-loop worker",
         ],
     };
+    let blocking = |s: &Sink| matches!(s.kind, SinkKind::Spawn | SinkKind::BlockingRead);
+    let why = |s: &Sink, place: &str| {
+        format!(
+            "{} blocks or respawns threads {place}; the serving path must stay nonblocking",
+            s.what
+        )
+    };
+    rule.push_items(files, SERVER_CRATES, blocking, why, out);
     for (node, n) in graph.nodes.iter().enumerate() {
         let direct = in_src_of(&n.file, SERVER_CRATES);
         let bootstrap = n.markers.iter().any(|m| m == "worker-bootstrap");
         for s in &n.sinks {
             match s.kind {
                 SinkKind::Spawn | SinkKind::BlockingRead if !(direct && bootstrap) => {
-                    let why = |place: &str| {
-                        format!(
-                            "{} blocks or respawns threads {place}; the serving path must \
-                             stay nonblocking",
-                            s.what
-                        )
-                    };
-                    rule.push(node, direct, s.line, why, out);
+                    rule.push(node, direct, s.line, |place| why(s, place), out);
                 }
                 SinkKind::LockAcquire
                     if n.sinks

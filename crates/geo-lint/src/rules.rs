@@ -1062,6 +1062,35 @@ mod tests {
     }
 
     #[test]
+    fn macro_templates_are_direct_scope() {
+        // A template is no fn body and its expansions are opaque, so each
+        // sink in it is reported once, at its own line, with no chain; a
+        // fn the template defines keeps its sinks as a graph node's.
+        let src = "macro_rules! m {\n  ($v:expr) => {\n    $v.unwrap();\n    std::thread::spawn(|| ());\n    r.read_line(&mut s);\n    todo!();\n    let t = std::time::Instant::now();\n    fn helper() { panic!(); }\n  };\n}\nfn after() {}";
+        let r = run("crates/geo-serve/src/lib.rs", src);
+        let found: Vec<(&str, usize)> = r
+            .diagnostics
+            .iter()
+            .map(|d| (d.rule.as_str(), d.line))
+            .collect();
+        assert_eq!(
+            found,
+            [("R1", 3), ("R4", 4), ("R4", 5), ("R1", 6), ("R1", 8)],
+            "{:?}",
+            r.diagnostics
+        );
+        assert!(r.diagnostics.iter().all(|d| d.chain.is_empty()));
+        assert_eq!(r.graph.functions, 2, "only `helper` and `after` are nodes");
+        // The template's clock is D1's in a deterministic crate.
+        let d = det(src);
+        assert_eq!(d.diagnostics.len(), 1, "{:?}", d.diagnostics);
+        assert_eq!(
+            (d.diagnostics[0].rule.as_str(), d.diagnostics[0].line),
+            ("D1", 7)
+        );
+    }
+
+    #[test]
     fn d1_skips_cfg_test_modules() {
         let src = "fn ok() {}\n#[cfg(test)]\nmod tests {\n  fn f() { let t = Instant::now(); }\n}";
         assert!(det(src).is_clean());

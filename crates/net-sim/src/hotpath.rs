@@ -20,10 +20,11 @@
 //!   cheaper than a per-pair memo that bulk traffic almost never reads
 //!   back);
 //! - most attach pairs route through transit, and every transit link is
-//!   one of three kinds keyed far more coarsely than the pair: the uplink
-//!   (attach, transit AS), the core link (transit AS, PoP, PoP) and the
-//!   downlink (transit AS, attach). Campaign rows read them through dense
-//!   link lanes, ~72 reads per filled slot in the paper campaign;
+//!   keyed far more coarsely than the pair: an access link (attach,
+//!   transit AS), which is both the attach's uplink and its downlink, or a
+//!   core link (transit AS, PoP, PoP). Campaign rows and single pings read
+//!   them through one flat lane each, one slot per undirected link: ~136
+//!   reads per filled slot in the paper campaign, ~53 in a publish build;
 //! - the topology tests the shape is decided by (`has_pop`, `nearest_pop`,
 //!   the `best_shared_pop` scan) hit tiny key spaces — dense lanes beat
 //!   hash tables.
@@ -155,7 +156,7 @@ fn pack(asn: AsId, city: CityId) -> u64 {
 }
 
 /// A lane of `n` zeroed slots (zero = not yet computed).
-// geo-lint: allow(P1, reason = "lazy lane allocation behind OnceLock, once per lane or row; later calls only read the memo")
+// geo-lint: allow(P1, reason = "lane allocation, once per lane when the route cache builds it; later calls only read the memo")
 fn zeroed<T: Default>(n: usize) -> Box<[T]> {
     std::iter::repeat_with(T::default).take(n).collect()
 }
@@ -227,9 +228,17 @@ enum Plan {
     Transit { asn: AsId, p_in: u32, p_out: u32 },
 }
 
-/// Dense per-world lookup lanes, built once on first use. All tables key
-/// on world entity ids: one `Network` must not be reused across
+/// Dense per-world lookup lanes, every table allocated when the lane is
+/// built (once, on first use or by [`RouteCache::prepare`]). All tables
+/// key on world entity ids: one `Network` must not be reused across
 /// differently-generated worlds.
+///
+/// The transit tables hold one slot per undirected link. `mid_ms(x, y)`
+/// and `mid_ms(y, x)` give the same bits: `delay::link_key` sorts the two
+/// tags, `PointTrig::distance` negates `dlat` and `dlon` exactly and `sin`
+/// is odd, and the `cos_lat` product commutes. Each slot is still filled
+/// in one fixed direction (attach → PoP, lower CSR position → higher), so
+/// its bits never depend on which direction reached it first.
 #[derive(Debug)]
 struct WorldLane {
     n_cities: usize,
@@ -248,33 +257,31 @@ struct WorldLane {
     pop_city: Vec<u32>,
     /// Waypoint constants, parallel to `pop_city`.
     wp: Vec<WpInfo>,
-    /// `World::nearest_pop` results as CSR positions in the AS's slice:
-    /// one lazily-allocated row per AS (`pos + 1`, zero = not yet
-    /// computed). Only transit-path ASes are ever queried, so almost no
-    /// rows materialize. Racing fills recompute identical values.
-    nearest: Vec<OnceLock<Box<[AtomicU32]>>>,
     /// Each host's attach index (into `attaches`).
     host_attach: Vec<u32>,
     /// Distinct host attachment PoPs.
     attaches: Vec<(AsId, CityId)>,
-    /// Each AS's position among the transit ASes (`u32::MAX` for an AS
+    /// Each AS's position `k` among the K transit ASes (`None` for an AS
     /// no other AS buys transit from).
-    transit_pos: Vec<u32>,
-    /// Transit-branch access-link delay bits, one lazily-allocated row
-    /// per attach `i`: slot `2k` is the uplink from attach `i` to
-    /// `(T_k, nearest_pop(T_k, city_i))`, slot `2k + 1` the downlink
-    /// from that PoP back to attach `i`.
-    links: Vec<OnceLock<Box<[AtomicU64]>>>,
-    /// Where each transit AS's rows start in `core`: `core_off[k] + p`.
+    transit_pos: Vec<Option<u32>>,
+    /// `World::nearest_pop` results as CSR positions in the transit AS's
+    /// slice: slot `k * n_cities + city` holds `pos + 1` for `T_k` (zero =
+    /// not yet computed). Racing fills store identical values.
+    nearest: Box<[AtomicU32]>,
+    /// Transit access-link delay bits: slot `attach * K + k` is the link
+    /// between the attach and `(T_k, nearest_pop(T_k, attach city))`, the
+    /// attach's uplink into `T_k` and its downlink out of it.
+    links: Box<[AtomicU64]>,
+    /// Where each transit AS's triangle starts in `core` (K + 1 offsets).
     core_off: Vec<u32>,
-    /// Transit core-link delay bits, one lazily-allocated row per transit
-    /// PoP: row `core_off[k] + p`, slot `q` is the link between the PoPs
-    /// at CSR positions `p` and `q` of transit AS `T_k`.
-    core: Vec<OnceLock<Box<[AtomicU64]>>>,
+    /// Transit core-link delay bits, one triangle per transit AS: slot
+    /// `core_off[k] + q * (q - 1) / 2 + p` is the link between the PoPs
+    /// at CSR positions `p < q` of `T_k`.
+    core: Box<[AtomicU64]>,
 }
 
 impl WorldLane {
-    // geo-lint: allow(P1, reason = "one-time lazy construction behind OnceLock; amortized across the whole campaign, never re-entered")
+    // geo-lint: allow(P1, reason = "one-time construction behind OnceLock; amortized across the whole campaign, never re-entered")
     fn build(world: &World) -> WorldLane {
         let n_cities = world.cities.len();
         let n_as = world.ases.len();
@@ -323,11 +330,12 @@ impl WorldLane {
             .collect();
         transits.sort_unstable();
         transits.dedup();
-        let mut transit_pos = vec![u32::MAX; n_as];
+        let mut transit_pos = vec![None; n_as];
         let mut core_off = vec![0u32];
         for (k, t) in transits.iter().enumerate() {
-            transit_pos[t.index()] = k as u32;
-            core_off.push(core_off[k] + pop_off[t.index() + 1] - pop_off[t.index()]);
+            transit_pos[t.index()] = Some(k as u32);
+            let n = pop_off[t.index() + 1] - pop_off[t.index()];
+            core_off.push(core_off[k] + n * n.saturating_sub(1) / 2);
         }
         WorldLane {
             n_cities,
@@ -335,11 +343,9 @@ impl WorldLane {
             pop_bits,
             pop_off,
             pop_city,
-            nearest: (0..n_as).map(|_| OnceLock::new()).collect(),
-            links: (0..attaches.len()).map(|_| OnceLock::new()).collect(),
-            core: (0..core_off[transits.len()])
-                .map(|_| OnceLock::new())
-                .collect(),
+            nearest: zeroed(transits.len() * n_cities),
+            links: zeroed(attaches.len() * transits.len()),
+            core: zeroed(core_off[transits.len()] as usize),
             host_attach,
             attaches,
             transit_pos,
@@ -367,19 +373,23 @@ impl WorldLane {
         CityId(self.pops(asn)[pos as usize])
     }
 
-    /// The nearest-PoP memo row for an AS, allocated on the AS's first
-    /// query (cold path: a handful of transit ASes per world).
-    fn nearest_row(&self, asn: AsId) -> &[AtomicU32] {
-        self.nearest[asn.index()].get_or_init(|| zeroed(self.n_cities))
+    /// The position `k` of a transit AS among the K transit ASes. Every
+    /// AS `route::pick_transit` returns is some AS's provider, so it has
+    /// one; any other AS is a bug in the caller.
+    // geo-lint: hot-path
+    #[inline]
+    fn transit_k(&self, asn: AsId) -> u32 {
+        self.transit_pos[asn.index()].expect("route::pick_transit returns a provider AS")
     }
 
-    /// Memoized `World::nearest_pop` (a dot-product scan over the AS's
-    /// footprint — transit ASes have hundreds of PoPs), as a CSR position
-    /// in the AS's slice.
+    /// Memoized `World::nearest_pop` for a transit AS (a dot-product scan
+    /// over the AS's footprint — transit ASes have hundreds of PoPs), as
+    /// a CSR position in the AS's slice.
     // geo-lint: hot-path
     #[inline]
     fn nearest_pos(&self, world: &World, asn: AsId, city: CityId) -> u32 {
-        let slot = &self.nearest_row(asn)[city.index()];
+        let k = self.transit_k(asn) as usize;
+        let slot = &self.nearest[k * self.n_cities + city.index()];
         let v = slot.load(Ordering::Relaxed);
         if v != 0 {
             return v - 1;
@@ -393,17 +403,19 @@ impl WorldLane {
         pos
     }
 
-    /// The transit access-link row of an attach, allocated on its first
-    /// transit path.
-    fn link_row(&self, attach: u32) -> &[AtomicU64] {
-        self.links[attach as usize].get_or_init(|| zeroed(2 * (self.core_off.len() - 1)))
+    /// The access-link slot between attach `attach` and the `k`-th transit
+    /// AS.
+    #[inline]
+    fn link(&self, attach: u32, k: u32) -> &AtomicU64 {
+        &self.links[attach as usize * (self.core_off.len() - 1) + k as usize]
     }
 
-    /// The core-link row of transit AS `k`'s PoP at position `p`,
-    /// allocated on the first path entering the AS there.
-    fn core_row(&self, k: u32, p: u32) -> &[AtomicU64] {
-        let (s, e) = (self.core_off[k as usize], self.core_off[k as usize + 1]);
-        self.core[(s + p) as usize].get_or_init(|| zeroed((e - s) as usize))
+    /// The core-link slot between the `k`-th transit AS's PoPs at CSR
+    /// positions `lo < hi`.
+    #[inline]
+    fn core(&self, k: u32, lo: u32, hi: u32) -> &AtomicU64 {
+        let (lo, hi) = (lo as usize, hi as usize);
+        &self.core[self.core_off[k as usize] as usize + hi * (hi - 1) / 2 + lo]
     }
 }
 
@@ -450,6 +462,15 @@ impl RouteCache {
 
     fn access_lane(&self, world: &World) -> &[AtomicU64] {
         self.access.get_or_init(|| zeroed(world.hosts.len()))
+    }
+
+    /// Builds the world lane and the access lane for `world` on the
+    /// calling thread, if they are not built yet. Every other entry point
+    /// builds them on first use, so this changes no result, only which
+    /// thread allocates them (see [`Network::prepare`](crate::Network::prepare)).
+    pub fn prepare(&self, world: &World) {
+        self.lane(world);
+        self.access_lane(world);
     }
 
     /// The delay of a host's access link (host to its attachment PoP) —
@@ -646,14 +667,15 @@ impl RouteCache {
     /// The middle-link addends of one direction between two attaches
     /// (indices into the lane's `attaches`).
     ///
-    /// A transit path's links come from three small key spaces, each
-    /// read through a lane: the uplink (attach, transit), the core link
-    /// (transit, PoP, PoP) and the downlink (transit, attach). The links
-    /// are those of the shape `route::synthesize` dedups from
+    /// A transit path's links come from two small key spaces, each read
+    /// through a lane: the access link (attach, transit), for both the
+    /// uplink and the downlink, and the core link (transit, PoP, PoP).
+    /// The links are those of the shape `route::synthesize` dedups from
     /// `[a, t_in, t_out, b]`: an endpoint attached at the transit's own
     /// nearest PoP merges with it, and `t_out` is pushed only when it
-    /// differs from `t_in`. Every slot holds `mid_ms` of exactly its key,
-    /// so the addends are bit-identical to the walk over the shape.
+    /// differs from `t_in`. Every slot holds `mid_ms` of exactly its
+    /// undirected link, so the addends are bit-identical to the walk over
+    /// the shape.
     // geo-lint: hot-path
     fn dir_seq(
         &self,
@@ -669,20 +691,19 @@ impl RouteCache {
             Plan::Shape(shape) => self.walk(world, params, lane, &shape),
             Plan::Transit { asn, p_in, p_out } => {
                 let mut seq = DirSeq::EMPTY;
-                let k = lane.transit_pos[asn.index()];
-                let t_in = (asn, lane.pop_at(asn, p_in));
-                let t_out = (asn, lane.pop_at(asn, p_out));
+                let k = lane.transit_k(asn);
+                let pop = |p| (asn, lane.pop_at(asn, p));
                 let mid = |x, y| self.mid_ms(world, params, lane, x, y);
-                if a != t_in {
-                    seq.push(memo(&lane.link_row(ai)[2 * k as usize], || mid(a, t_in)));
+                // Fill direction: attach → PoP, lower position → higher.
+                if a != pop(p_in) {
+                    seq.push(memo(lane.link(ai, k), || mid(a, pop(p_in))));
                 }
                 if p_out != p_in {
-                    let slot = &lane.core_row(k, p_in)[p_out as usize];
-                    seq.push(memo(slot, || mid(t_in, t_out)));
+                    let (lo, hi) = (p_in.min(p_out), p_in.max(p_out));
+                    seq.push(memo(lane.core(k, lo, hi), || mid(pop(lo), pop(hi))));
                 }
-                if b != t_out {
-                    let slot = &lane.link_row(bi)[2 * k as usize + 1];
-                    seq.push(memo(slot, || mid(t_out, b)));
+                if b != pop(p_out) {
+                    seq.push(memo(lane.link(bi, k), || mid(b, pop(p_out))));
                 }
                 seq
             }
@@ -739,24 +760,51 @@ impl RouteCache {
         total
     }
 
+    /// A base RTT from both directions' addends between hosts `a` and
+    /// `b`: the forward fold plus the reverse fold, as
+    /// `measure::base_rtt` adds its two one-way delays.
+    // geo-lint: hot-path
+    #[inline]
+    fn round_trip(
+        &self,
+        params: &NetParams,
+        access_a: f64,
+        fwd: &DirSeq,
+        rev: &DirSeq,
+        access_b: f64,
+    ) -> f64 {
+        self.fold(params, access_a, fwd, access_b) + self.fold(params, access_b, rev, access_a)
+    }
+
     /// Base (jitter-free) RTT between two hosts: forward plus reverse
-    /// one-way delay, identical bits to `measure::base_rtt`. Each
-    /// direction walks the attach pair's shape and folds it around the two
-    /// per-host access constants. Nothing is stored per pair: 1.4% of the
-    /// pings in a publish build of the paper world repeat a host pair, so
-    /// a memo costs more in inserts and memory than the recomputation it
-    /// saves. The transit link lanes that campaign rows read are left
-    /// alone too: a publish build's pings reach nearly every slot of them
-    /// (92% of the link rows' slots and 72% of the core slots at seed 42),
-    /// which adds 2.8 MB, 15%, to its peak resident set.
+    /// one-way delay, identical bits to `measure::base_rtt`. Both
+    /// directions' addends come from `dir_seq` over the two hosts' attach
+    /// indices, as a campaign row's do, so transit links are read from
+    /// the link lanes; only a host added after the lane was sized has no
+    /// attach index, and its pairs walk the shapes instead. Nothing is
+    /// stored per pair: 1.4% of the pings in a publish build of the paper
+    /// world repeat a host pair, so a memo costs more in inserts and
+    /// memory than the recomputation it saves.
     // geo-lint: hot-path
     pub fn base_rtt_ms(&self, world: &World, params: &NetParams, src: HostId, dst: HostId) -> f64 {
-        let (a, b) = (Endpoint::Host(src), Endpoint::Host(dst));
-        let (fwd, rev) = (
-            self.shape(world, params, a, b),
-            self.shape(world, params, b, a),
+        let lane = self.lane(world);
+        let attach_of = |id: HostId| lane.host_attach.get(id.index()).copied();
+        let (fwd, rev) = match (attach_of(src), attach_of(dst)) {
+            (Some(ai), Some(bi)) => (
+                self.dir_seq(world, params, lane, ai, bi),
+                self.dir_seq(world, params, lane, bi, ai),
+            ),
+            _ => {
+                let (a, b) = (Endpoint::Host(src), Endpoint::Host(dst));
+                let walk = |x, y| self.walk(world, params, lane, &self.shape(world, params, x, y));
+                (walk(a, b), walk(b, a))
+            }
+        };
+        let (sa, da) = (
+            self.access_ms(world, params, src),
+            self.access_ms(world, params, dst),
         );
-        self.one_way_ms(world, params, a, b, &fwd) + self.one_way_ms(world, params, b, a, &rev)
+        self.round_trip(params, sa, &fwd, &rev, da)
     }
 
     /// Cumulative delays to each waypoint (traceroute hop timing),
@@ -943,7 +991,7 @@ impl RouteCache {
                         self.base_rtt_ms(world, params, src, col.host)
                     } else {
                         let (f, r) = &scratch.seqs[c];
-                        self.fold(params, sa, f, col.access) + self.fold(params, col.access, r, sa)
+                        self.round_trip(params, sa, f, r, col.access)
                     };
                     emit(c, Ms(base), col.ip, col.last_mile);
                 }
@@ -1124,5 +1172,43 @@ impl NoiseModel {
             Some(ms) => PingOutcome::Reply(ms),
             None => PingOutcome::Timeout,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use world_sim::WorldConfig;
+
+    /// The premise of one lane slot per undirected link: `mid_ms` gives
+    /// the same bits in both directions for every access link (each attach
+    /// with each transit AS's PoP nearest to it) and every core link (each
+    /// PoP pair of each transit AS) of the small world's transit pool.
+    #[test]
+    fn mid_ms_is_symmetric_on_every_transit_link() {
+        let w = World::generate(WorldConfig::small(Seed(351))).expect("small preset");
+        let params = NetParams::default();
+        let cache = RouteCache::new(&params);
+        let lane = cache.lane(&w);
+        let mut links = 0;
+        let mut same = |x, y| {
+            let fwd = cache.mid_ms(&w, &params, lane, x, y);
+            let rev = cache.mid_ms(&w, &params, lane, y, x);
+            assert_eq!(fwd.to_bits(), rev.to_bits(), "{x:?} <-> {y:?}");
+            links += 1;
+        };
+        for &t in w.transit_pool() {
+            for &a in &lane.attaches {
+                let p = lane.nearest_pos(&w, t, a.1);
+                same(a, (t, lane.pop_at(t, p)));
+            }
+            let pops = lane.pops(t);
+            for (q, &hi) in pops.iter().enumerate() {
+                for &lo in &pops[..q] {
+                    same((t, CityId(lo)), (t, CityId(hi)));
+                }
+            }
+        }
+        assert!(links > 2000, "only {links} links compared");
     }
 }

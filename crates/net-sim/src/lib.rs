@@ -89,12 +89,25 @@ impl Network {
         self.seed
     }
 
+    /// Builds the route cache's lanes for `world` on the calling thread;
+    /// a later call does nothing. Every measurement builds them on first
+    /// use, so this changes no result. Call it before fanning pings out
+    /// over the worker pool: allocations a pool thread makes stay in its
+    /// malloc arena after the build ends, and the pool's threads are new
+    /// on every `par_map_indexed` call, so lanes built inside one keep
+    /// piling up pages across repeated builds. [`Network::campaign`] gets
+    /// the same effect from [`Network::target_lane`].
+    pub fn prepare(&self, world: &World) {
+        self.routes.prepare(world);
+    }
+
     /// The deterministic (jitter-free, last-mile-free) round-trip time
-    /// between two hosts: forward one-way plus reverse one-way delay.
-    /// Memoized per unordered endpoint pair in the shared
-    /// [`BaseDelayCache`]; [`Network::ping`] and the traceroute's
-    /// destination ping read it. [`Network::ping_min`] and campaign rows
-    /// compute the same bits without the cache.
+    /// between two hosts: forward one-way plus reverse one-way delay, as
+    /// [`RouteCache::base_rtt_ms`] derives it. Memoized per unordered
+    /// endpoint pair in the shared [`BaseDelayCache`]; [`Network::ping`]
+    /// and the traceroute's destination ping read it.
+    /// [`Network::ping_min`] and campaign rows compute the same bits
+    /// without the cache.
     pub fn base_rtt(&self, world: &World, src: HostId, dst: HostId) -> Ms {
         Ms(self.cache.get_or_compute(src, dst, || {
             self.routes.base_rtt_ms(world, &self.params, src, dst)
@@ -139,8 +152,9 @@ impl Network {
     /// The minimum RTT over `count` ping packets — how latency geolocation
     /// actually measures (RIPE Atlas pings send 3 packets and keep the
     /// minimum). The deterministic base RTT is computed once, straight from
-    /// the two hosts' attachment PoPs through the route cache's per-host
-    /// and per-PoP lanes; nothing is stored per pair, because bulk
+    /// the two hosts' attachment PoPs by the derivation campaign rows use:
+    /// per-host access delays, and transit links read from the route
+    /// cache's link lanes. Nothing is stored per pair, because bulk
     /// campaigns almost never measure a pair twice. Only the per-packet
     /// noise is drawn per packet.
     pub fn ping_min(

@@ -9,7 +9,7 @@ use geo_model::matrix::DelayMatrix;
 use geo_model::rng::{splitmix64, Seed};
 use net_sim::measure;
 use net_sim::route::{synthesize, Endpoint};
-use net_sim::{delay, Network, NoiseModel, RouteCache, RowScratch};
+use net_sim::{delay, Network, NoiseModel, PingOutcome, RouteCache, RowScratch};
 use world_sim::ids::HostId;
 use world_sim::{World, WorldConfig};
 
@@ -89,6 +89,53 @@ fn one_way_and_base_rtt_bits_match() {
         )
         .value();
         assert_eq!(fast.to_bits(), slow.to_bits());
+    }
+    // A fresh cache answers each pair's reverse first, so each link lane
+    // slot is first reached from the opposite direction to the pass above.
+    let rev_first = RouteCache::new(net.params());
+    for i in 0..w.probes.len().min(150) {
+        let (src, dst) = (w.probes[i], w.anchors[i % w.anchors.len()]);
+        for (a, b) in [(dst, src), (src, dst)] {
+            let fast = rev_first.base_rtt_ms(&w, net.params(), a, b);
+            let slow = measure::base_rtt(&w, net.params(), a, b).value();
+            assert_eq!(
+                fast.to_bits(),
+                slow.to_bits(),
+                "reverse-first base_rtt bits diverged for {a:?} -> {b:?}: {fast} vs {slow}"
+            );
+        }
+    }
+}
+
+/// `Network::prepare` builds the lanes up front and changes no result:
+/// pings from a network prepared before and again after its first pings
+/// carry the bits of an unprepared network's and of the reference.
+#[test]
+fn prepare_is_idempotent_and_keeps_ping_min_bits() {
+    let w = world();
+    let cold = Network::new(Seed(351));
+    let warm = Network::new(Seed(351));
+    warm.prepare(&w);
+    let bits = |o: PingOutcome| o.rtt().map(|m| m.value().to_bits());
+    for pass in 0..2 {
+        for i in 0..w.probes.len().min(150) {
+            let src = w.probes[i];
+            let dst = w.host(w.anchors[i % w.anchors.len()]).ip;
+            let nonce = 0x9E9A ^ i as u64;
+            let slow = measure::ping_min(&w, warm.params(), warm.seed(), src, dst, 3, nonce);
+            let want = bits(slow);
+            assert_eq!(
+                bits(warm.ping_min(&w, src, dst, 3, nonce)),
+                want,
+                "pass {pass} pair {i}"
+            );
+            assert_eq!(
+                bits(cold.ping_min(&w, src, dst, 3, nonce)),
+                want,
+                "pass {pass} pair {i}"
+            );
+        }
+        warm.prepare(&w);
     }
 }
 
