@@ -17,7 +17,7 @@ use crate::cbg::CbgResult;
 use crate::multi_round;
 use crate::resilient::{Resilience, TargetLog};
 use geo_model::ip::Ipv4;
-use geo_model::point::GeoPoint;
+use geo_model::point::{GeoPoint, PointTrig};
 use net_sim::Network;
 use world_sim::ids::HostId;
 use world_sim::World;
@@ -25,6 +25,10 @@ use world_sim::World;
 /// Greedily selects `k` VPs maximizing geographic coverage: each iteration
 /// adds the VP with the largest sum of logarithmic distances to those
 /// already selected (the Metis-style criterion the paper cites).
+///
+/// At paper scale that is about 3M haversines (300 picks × 9,904 VPs), so
+/// each VP's trig is derived once and every distance reads it through
+/// [`PointTrig::distance`], bit-identical to `GeoPoint::distance`.
 pub fn greedy_coverage(world: &World, vps: &[HostId], k: usize) -> Vec<HostId> {
     if vps.is_empty() || k == 0 {
         return Vec::new();
@@ -33,22 +37,24 @@ pub fn greedy_coverage(world: &World, vps: &[HostId], k: usize) -> Vec<HostId> {
         .iter()
         .map(|&v| world.host(v).registered_location)
         .collect();
+    let trig: Vec<PointTrig> = locs.iter().map(PointTrig::of).collect();
 
     // Start from the VP furthest from the centroid of all VPs (a stable,
     // deterministic seed of the greedy chain).
     let centroid = GeoPoint::centroid(&locs).unwrap_or_else(|| GeoPoint::new(0.0, 0.0));
+    let centroid = PointTrig::of(&centroid);
     let first = (0..vps.len())
         .max_by(|&a, &b| {
-            locs[a]
+            trig[a]
                 .distance(&centroid)
-                .total_cmp(&locs[b].distance(&centroid))
+                .total_cmp(&trig[b].distance(&centroid))
         })
         .expect("non-empty");
 
     let mut selected = vec![first];
     // Incremental sums of log-distances to the selected set.
     let mut score: Vec<f64> = (0..vps.len())
-        .map(|i| log_dist(&locs[i], &locs[first]))
+        .map(|i| log_dist(&trig[i], &trig[first]))
         .collect();
     score[first] = f64::NEG_INFINITY;
 
@@ -62,7 +68,7 @@ pub fn greedy_coverage(world: &World, vps: &[HostId], k: usize) -> Vec<HostId> {
         selected.push(next);
         for i in 0..vps.len() {
             if score[i] != f64::NEG_INFINITY {
-                score[i] += log_dist(&locs[i], &locs[next]);
+                score[i] += log_dist(&trig[i], &trig[next]);
             }
         }
         score[next] = f64::NEG_INFINITY;
@@ -71,7 +77,7 @@ pub fn greedy_coverage(world: &World, vps: &[HostId], k: usize) -> Vec<HostId> {
     selected.into_iter().map(|i| vps[i]).collect()
 }
 
-fn log_dist(a: &GeoPoint, b: &GeoPoint) -> f64 {
+fn log_dist(a: &PointTrig, b: &PointTrig) -> f64 {
     // +1 km floor keeps co-located VPs finite.
     (a.distance(b).value() + 1.0).ln()
 }
@@ -141,8 +147,12 @@ mod tests {
     }
 
     fn setup() -> (World, Network, Vec<HostId>) {
-        let w = World::generate(WorldConfig::small(Seed(191))).unwrap();
-        let net = Network::new(Seed(191));
+        setup_with(WorldConfig::small(Seed(191)))
+    }
+
+    fn setup_with(config: WorldConfig) -> (World, Network, Vec<HostId>) {
+        let net = Network::new(config.seed);
+        let w = World::generate(config).unwrap();
         let clean: Vec<HostId> = w
             .probes
             .iter()
@@ -150,6 +160,71 @@ mod tests {
             .filter(|&p| !w.host(p).is_mis_geolocated())
             .collect();
         (w, net, clean)
+    }
+
+    /// `greedy_coverage` as it was before the VP trig was hoisted: every
+    /// distance re-derives the trig of both endpoints. Kept as the oracle
+    /// the hoisted selection must match pick for pick.
+    fn greedy_coverage_oracle(world: &World, vps: &[HostId], k: usize) -> Vec<HostId> {
+        if vps.is_empty() || k == 0 {
+            return Vec::new();
+        }
+        let locs: Vec<GeoPoint> = vps
+            .iter()
+            .map(|&v| world.host(v).registered_location)
+            .collect();
+        let log_dist = |a: &GeoPoint, b: &GeoPoint| (a.distance(b).value() + 1.0).ln();
+        let centroid = GeoPoint::centroid(&locs).unwrap_or_else(|| GeoPoint::new(0.0, 0.0));
+        let first = (0..vps.len())
+            .max_by(|&a, &b| {
+                locs[a]
+                    .distance(&centroid)
+                    .total_cmp(&locs[b].distance(&centroid))
+            })
+            .unwrap();
+        let mut selected = vec![first];
+        let mut score: Vec<f64> = (0..vps.len())
+            .map(|i| log_dist(&locs[i], &locs[first]))
+            .collect();
+        score[first] = f64::NEG_INFINITY;
+        while selected.len() < k.min(vps.len()) {
+            let next = (0..vps.len())
+                .max_by(|&a, &b| score[a].total_cmp(&score[b]))
+                .unwrap();
+            if score[next] == f64::NEG_INFINITY {
+                break;
+            }
+            selected.push(next);
+            for i in 0..vps.len() {
+                if score[i] != f64::NEG_INFINITY {
+                    score[i] += log_dist(&locs[i], &locs[next]);
+                }
+            }
+            score[next] = f64::NEG_INFINITY;
+        }
+        selected.into_iter().map(|i| vps[i]).collect()
+    }
+
+    #[test]
+    fn greedy_coverage_matches_oracle_on_small_worlds() {
+        for seed in [191, 7, 2023] {
+            let (w, _, vps) = setup_with(WorldConfig::small(Seed(seed)));
+            for k in [1, 2, 10, 30, 60, vps.len(), vps.len() + 5] {
+                assert_eq!(
+                    greedy_coverage(&w, &vps, k),
+                    greedy_coverage_oracle(&w, &vps, k),
+                    "seed {seed}, k {k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn greedy_coverage_matches_oracle_on_paper_world() {
+        let (w, _, vps) = setup_with(WorldConfig::paper(Seed(42)));
+        let mesh = greedy_coverage(&w, &vps, 300);
+        assert_eq!(mesh.len(), 300);
+        assert_eq!(mesh, greedy_coverage_oracle(&w, &vps, 300));
     }
 
     #[test]

@@ -4,12 +4,19 @@
 //! Resolution is best-effort and explicitly layered (see DESIGN §13):
 //! same-module free functions, `use`-imported names, fully-qualified
 //! paths (with `crate`/`self`/`super`/`Self` normalization), enclosing
-//! `impl` for `self.method()` calls, and unique-name matching for other
-//! method calls. What cannot be pinned down is *recorded* as an
-//! unresolved call — never treated as resolved-to-nothing-safe.
+//! `impl` for `self.method()` calls, the declared type of the receiver
+//! for `self.field.method()` and `param.method()` calls, and unique-name
+//! matching for other method calls. What cannot be pinned down is
+//! *recorded* as an unresolved call — never treated as
+//! resolved-to-nothing-safe.
 
-use crate::parser::{CallKind, ParsedFile, Sink};
+use crate::parser::{CallKind, FnItem, ParsedFile, Receiver, Sink};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+
+/// Declared struct field types, keyed by (crate dir, struct, field), each
+/// as (crate dir of the type, type); `None` when the crate declares the
+/// struct name twice with different types for the field.
+type FieldTypes = HashMap<(String, String, String), Option<(String, String)>>;
 
 /// One function node in the graph.
 #[derive(Debug)]
@@ -351,18 +358,35 @@ pub(crate) fn build(files: &[FileInput<'_>], crate_idents: &BTreeMap<String, Str
         }
     }
 
+    // Declared field types of the crates' `src/` structs. A struct name
+    // declared twice in a crate with different field types maps to `None`:
+    // its fields resolve by name only.
+    let mut field_types: FieldTypes = HashMap::new();
+    for f in files {
+        let (Some(dir), true, _) = classify_path(f.rel) else {
+            continue;
+        };
+        let imports = import_map(f.parsed);
+        for (owner, field, ty) in &f.parsed.fields {
+            let typed = type_dir(ty, &dir, &imports, &ident_to_dir).map(|d| (d, ty.clone()));
+            field_types
+                .entry((dir.clone(), owner.clone(), field.clone()))
+                .and_modify(|known| {
+                    if *known != typed {
+                        *known = None;
+                    }
+                })
+                .or_insert(typed);
+        }
+    }
+
     // 3. Edges.
     let mut edges: Vec<Vec<Edge>> = vec![Vec::new(); nodes.len()];
     let mut unresolved: Vec<UnresolvedEdge> = Vec::new();
     for (fi, f) in files.iter().enumerate() {
         let (crate_dir, _, file_mods) = classify_path(f.rel);
         let crate_ident = crate_ident_for(f.rel, crate_dir.as_deref(), crate_idents);
-        let imports: HashMap<&str, &[String]> = f
-            .parsed
-            .imports
-            .iter()
-            .map(|(l, p)| (l.as_str(), p.as_slice()))
-            .collect();
+        let imports = import_map(f.parsed);
         let scope = ResolveScope {
             crate_ident: &crate_ident,
             crate_dir: crate_dir.as_deref(),
@@ -375,6 +399,7 @@ pub(crate) fn build(files: &[FileInput<'_>], crate_idents: &BTreeMap<String, Str
             method_anywhere: &method_anywhere,
             typefn_by_crate: &typefn_by_crate,
             freefn_by_crate: &freefn_by_crate,
+            field_types: &field_types,
         };
         for (gi, item) in f.parsed.fns.iter().enumerate() {
             let from = node_of[&(fi, gi)];
@@ -445,6 +470,41 @@ fn classify_path(rel: &str) -> (Option<String>, bool, Vec<String>) {
     (Some(crate_dir.to_string()), true, mods)
 }
 
+/// A file's `use` aliases: local name → path as written.
+fn import_map(parsed: &ParsedFile) -> HashMap<&str, &[String]> {
+    parsed
+        .imports
+        .iter()
+        .map(|(l, p)| (l.as_str(), p.as_slice()))
+        .collect()
+}
+
+/// The crate directory that declares the type named `ty`, as seen from a
+/// file of crate `dir` with `imports`: the workspace crate an import of
+/// `ty` starts with, else `dir` itself (a type declared in the crate or
+/// imported by a relative path, or a prelude type no workspace crate has
+/// methods for). `None` when the import starts with a known-external
+/// crate.
+fn type_dir(
+    ty: &str,
+    dir: &str,
+    imports: &HashMap<&str, &[String]>,
+    ident_to_dir: &HashMap<&str, &str>,
+) -> Option<String> {
+    match imports
+        .get(ty)
+        .and_then(|path| path.first())
+        .map(String::as_str)
+    {
+        Some(head) => match ident_to_dir.get(head) {
+            Some(d) => Some(d.to_string()),
+            None if EXTERNAL_HEADS.contains(&head) => None,
+            None => Some(dir.to_string()),
+        },
+        None => Some(dir.to_string()),
+    }
+}
+
 /// The crate identifier used in paths: the lib ident for `src/` files, a
 /// per-file pseudo-crate for integration tests/examples/benches (each is
 /// its own crate and must not alias the lib).
@@ -483,19 +543,57 @@ struct ResolveScope<'a> {
     method_anywhere: &'a HashMap<String, Vec<usize>>,
     typefn_by_crate: &'a HashMap<(String, String, String), Vec<usize>>,
     freefn_by_crate: &'a HashMap<(String, String), Vec<usize>>,
+    field_types: &'a FieldTypes,
 }
 
 impl ResolveScope<'_> {
-    fn resolve(&self, kind: &CallKind, item: &crate::parser::FnItem) -> Resolution {
+    fn resolve(&self, kind: &CallKind, item: &FnItem) -> Resolution {
         match kind {
             CallKind::Bare(name) => self.resolve_bare(name, item),
             CallKind::SelfMethod(name) => self.resolve_self_method(name, item),
-            CallKind::Method(name) => self.resolve_method(name),
+            CallKind::Method { name, recv } => self.resolve_typed_method(name, recv, item),
             CallKind::Path(segs) => self.resolve_path(segs, item, 0),
         }
     }
 
-    fn module_key<'b>(&'b self, item: &'b crate::parser::FnItem) -> Vec<&'b str> {
+    /// `self.field.name()` and `param.name()`: the receiver's declared
+    /// type names a crate and a type, and a unique `name` among that
+    /// type's methods there is the target. Any other receiver, a type
+    /// outside the workspace, or a method the type's crate does not
+    /// define falls back to [`Self::resolve_method`].
+    fn resolve_typed_method(&self, name: &str, recv: &Receiver, item: &FnItem) -> Resolution {
+        let typed = match (recv, self.crate_dir) {
+            (Receiver::SelfField(field), Some(dir)) => item.impl_type.as_ref().and_then(|owner| {
+                self.field_types
+                    .get(&(dir.to_string(), owner.clone(), field.clone()))
+                    .cloned()
+                    .flatten()
+            }),
+            (Receiver::Ident(var), Some(dir)) => {
+                item.params
+                    .iter()
+                    .find(|(param, _)| param == var)
+                    .and_then(|(_, ty)| match (ty.as_str(), &item.impl_type) {
+                        ("Self", Some(owner)) => Some((dir.to_string(), owner.clone())),
+                        _ => type_dir(ty, dir, self.imports, self.ident_to_dir)
+                            .map(|d| (d, ty.clone())),
+                    })
+            }
+            _ => None,
+        };
+        if let Some((dir, ty)) = typed {
+            if let Some([one]) = self
+                .typefn_by_crate
+                .get(&(dir, ty, name.to_string()))
+                .map(Vec::as_slice)
+            {
+                return Resolution::Target(*one);
+            }
+        }
+        self.resolve_method(name)
+    }
+
+    fn module_key<'b>(&'b self, item: &'b FnItem) -> Vec<&'b str> {
         let mut segs: Vec<&str> = vec![self.crate_ident];
         segs.extend(self.file_mods.iter().map(String::as_str));
         segs.extend(item.module.iter().map(String::as_str));
@@ -506,7 +604,7 @@ impl ResolveScope<'_> {
         self.by_path.get(&segs.join("::")).copied()
     }
 
-    fn resolve_bare(&self, name: &str, item: &crate::parser::FnItem) -> Resolution {
+    fn resolve_bare(&self, name: &str, item: &FnItem) -> Resolution {
         // Same module first.
         let mut segs = self.module_key(item);
         segs.push(name);
@@ -531,7 +629,7 @@ impl ResolveScope<'_> {
         Resolution::External
     }
 
-    fn resolve_self_method(&self, name: &str, item: &crate::parser::FnItem) -> Resolution {
+    fn resolve_self_method(&self, name: &str, item: &FnItem) -> Resolution {
         if let Some(ty) = &item.impl_type {
             // Same module, same type.
             let mut segs = self.module_key(item);
@@ -593,12 +691,7 @@ impl ResolveScope<'_> {
     }
 
     /// Resolves a path call. `hops` bounds import-chain recursion.
-    fn resolve_path(
-        &self,
-        segs: &[String],
-        item: &crate::parser::FnItem,
-        hops: usize,
-    ) -> Resolution {
+    fn resolve_path(&self, segs: &[String], item: &FnItem, hops: usize) -> Resolution {
         if hops > 4 || segs.is_empty() {
             return Resolution::Unresolved(segs.join("::"), "import chain too deep".into());
         }
@@ -848,4 +941,139 @@ pub(crate) fn lock_closure(
 /// locking helper).
 pub(crate) fn lock_class(node: &FnNode) -> String {
     node.impl_type.clone().unwrap_or_else(|| node.key.clone())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rules::analyze_file;
+
+    /// The graph of in-memory `(path, source)` files; crate idents are the
+    /// directory names.
+    fn graph(files: &[(&str, &str)]) -> Graph {
+        let analyses: Vec<_> = files
+            .iter()
+            .map(|(rel, src)| analyze_file(rel, src))
+            .collect();
+        let inputs: Vec<FileInput<'_>> = analyses
+            .iter()
+            .map(|a| FileInput {
+                rel: &a.rel,
+                parsed: &a.parsed,
+            })
+            .collect();
+        let idents = files
+            .iter()
+            .filter_map(|(rel, _)| rel.strip_prefix("crates/")?.split_once('/'))
+            .map(|(dir, _)| (dir.to_string(), dir.replace('-', "_")))
+            .collect();
+        build(&inputs, &idents)
+    }
+
+    /// The keys `from` has edges to, and the names of its unresolved calls.
+    fn calls_of<'g>(g: &'g Graph, from: &str) -> (Vec<&'g str>, Vec<&'g str>) {
+        let idx = g
+            .nodes
+            .iter()
+            .position(|n| n.key == from)
+            .unwrap_or_else(|| panic!("no node {from}"));
+        let targets = g.edges[idx].iter().map(|e| key_of(g, e.target)).collect();
+        let unresolved = g
+            .unresolved
+            .iter()
+            .filter(|u| u.from == idx)
+            .map(|u| u.name.as_str())
+            .collect();
+        (targets, unresolved)
+    }
+
+    /// `prepare` is a method of three types in `lanes`, so only the
+    /// receiver's declared type can pick one.
+    const LANES: &str = "use std::sync::Arc;
+pub struct Cache;
+impl Cache {
+    pub fn prepare(&self) {}
+    pub fn get(&self) -> u32 { 0 }
+}
+pub struct Other;
+impl Other {
+    pub fn prepare(&self) {}
+}
+pub struct Net {
+    cache: Arc<Cache>,
+    pub(crate) other: Box<Other>,
+}
+impl Net {
+    pub fn prepare(&self) {
+        self.cache.prepare();
+        self.other.prepare();
+    }
+    pub fn get(&self) -> u32 {
+        self.cache.get()
+    }
+    pub fn merge(&self, peer: &Self) {
+        peer.prepare();
+    }
+}
+";
+
+    const APP: &str = "use lanes::Net;
+pub fn build(net: &Net, other: lanes::Other) {
+    net.prepare();
+    other.prepare();
+    let local = net;
+    local.prepare();
+    local.only_here();
+}
+pub struct Helper;
+impl Helper {
+    pub fn only_here(&self) {}
+}
+";
+
+    fn workspace() -> Graph {
+        graph(&[
+            ("crates/app/src/lib.rs", APP),
+            ("crates/lanes/src/lib.rs", LANES),
+        ])
+    }
+
+    #[test]
+    fn self_field_calls_resolve_through_the_field_type() {
+        let g = workspace();
+        let (targets, unresolved) = calls_of(&g, "lanes::Net::prepare");
+        assert_eq!(
+            targets,
+            vec!["lanes::Cache::prepare", "lanes::Other::prepare"]
+        );
+        assert!(unresolved.is_empty(), "{unresolved:?}");
+        // A std-owned method name resolves too once the type is known.
+        let (targets, _) = calls_of(&g, "lanes::Net::get");
+        assert_eq!(targets, vec!["lanes::Cache::get"]);
+    }
+
+    #[test]
+    fn param_calls_resolve_through_the_param_type() {
+        let g = workspace();
+        // An imported type names its crate; `Self` names the impl type.
+        let (targets, _) = calls_of(&g, "app::build");
+        assert!(targets.contains(&"lanes::Net::prepare"), "{targets:?}");
+        let (targets, unresolved) = calls_of(&g, "lanes::Net::merge");
+        assert_eq!(targets, vec!["lanes::Net::prepare"]);
+        assert!(unresolved.is_empty(), "{unresolved:?}");
+    }
+
+    #[test]
+    fn other_receivers_fall_back_to_the_name_match() {
+        let g = workspace();
+        let (targets, unresolved) = calls_of(&g, "app::build");
+        // `other: lanes::Other` keeps only `Other`, which `app` does not
+        // declare, and `local` is no parameter: both stay ambiguous by
+        // name; a name unique in the crate still resolves.
+        assert_eq!(unresolved, vec![".prepare()", ".prepare()"]);
+        assert_eq!(
+            targets,
+            vec!["app::Helper::only_here", "lanes::Net::prepare"]
+        );
+    }
 }

@@ -33,11 +33,24 @@ pub(crate) enum CallKind {
     /// `name(…)` — same-module free fn, import, or prelude.
     Bare(String),
     /// `recv.name(…)` with a non-`self` receiver.
-    Method(String),
+    Method { name: String, recv: Receiver },
     /// `self.name(…)` — resolved against the enclosing `impl` first.
     SelfMethod(String),
     /// `a::b::name(…)`, `Type::name(…)`, `Self::name(…)`, …
     Path(Vec<String>),
+}
+
+/// The receiver of a `recv.name(…)` call, in the two shapes whose type
+/// the parser records: a field of `self`, or a plain identifier (which
+/// resolves when it names a parameter of the enclosing fn).
+#[derive(Debug, Clone)]
+pub(crate) enum Receiver {
+    /// `self.field.name(…)`.
+    SelfField(String),
+    /// `ident.name(…)`.
+    Ident(String),
+    /// Any other receiver (`a.b.name(…)`, `f().name(…)`, `xs[i].name(…)`).
+    Other,
 }
 
 /// Rule-relevant constructs found inside a function body.
@@ -89,6 +102,9 @@ pub(crate) struct FnItem {
     pub sig_line: usize,
     pub calls: Vec<Call>,
     pub sinks: Vec<Sink>,
+    /// Parameters with a named type: `(name, type)`, the type as
+    /// [`type_name`] reads it. `self` is not listed.
+    pub params: Vec<(String, String)>,
     /// `geo-lint:` markers attached directly above (`hot-path`,
     /// `worker-bootstrap`, `serve-entry`).
     pub markers: Vec<String>,
@@ -109,6 +125,9 @@ pub(crate) struct ParsedFile {
     pub imports: Vec<(String, Vec<String>)>,
     /// `use path::*` glob prefixes.
     pub globs: Vec<Vec<String>>,
+    /// Named-struct fields with a named type: `(struct, field, type)`, the
+    /// type as [`type_name`] reads it.
+    pub fields: Vec<(String, String, String)>,
     /// Sinks outside every fn body: clock identifiers anywhere, and all
     /// sinks of a `macro_rules!` template. The direct parts of D1, R1 and
     /// R4 flag the kinds they read; no graph node owns them.
@@ -274,6 +293,12 @@ pub(crate) fn parse(code: &[Token], comments: &[Comment]) -> ParsedFile {
                             None => i += 1,
                         }
                     }
+                    "struct" if !in_fn => {
+                        // Fields are read ahead; the body is then scanned
+                        // as before, so its clock types stay item sinks.
+                        parse_struct_fields(code, i, &mut out);
+                        i += 1;
+                    }
                     "macro_rules" if !in_fn && code.get(i + 1).is_some_and(|x| x.is_punct('!')) => {
                         // `macro_rules! name { … }`: the template's body
                         // still parses as items, so fns it defines are
@@ -297,6 +322,7 @@ pub(crate) fn parse(code: &[Token], comments: &[Comment]) -> ParsedFile {
                                     sig_line: t.line,
                                     calls: Vec::new(),
                                     sinks: Vec::new(),
+                                    params: parse_params(code, i, body_brace),
                                     markers: Vec::new(),
                                 });
                                 pending_scope = Some(ScopeKind::Fn(idx));
@@ -564,6 +590,143 @@ fn parse_fn_header(code: &[Token], i: usize) -> Option<(String, usize)> {
     None
 }
 
+/// True when the `>` at `k` closes an angle bracket (it is not the tail
+/// of `->` or `=>`).
+fn closes_angle(code: &[Token], k: usize) -> bool {
+    code[k].is_punct('>') && !(k > 0 && (code[k - 1].is_punct('-') || code[k - 1].is_punct('=')))
+}
+
+/// Splits `code` at its commas outside every bracket pair, `<…>`
+/// included; empty pieces (a trailing comma) are dropped.
+fn split_top_level(code: &[Token]) -> Vec<&[Token]> {
+    let mut out = Vec::new();
+    let (mut depth, mut start) = (0i32, 0usize);
+    for (k, t) in code.iter().enumerate() {
+        match t.kind {
+            TokenKind::Punct('(' | '[' | '{' | '<') => depth += 1,
+            TokenKind::Punct(')' | ']' | '}') => depth -= 1,
+            TokenKind::Punct('>') if closes_angle(code, k) => depth -= 1,
+            TokenKind::Punct(',') if depth == 0 => {
+                out.push(&code[start..k]);
+                start = k + 1;
+            }
+            _ => {}
+        }
+    }
+    out.push(&code[start..]);
+    out.retain(|piece| !piece.is_empty());
+    out
+}
+
+/// The type a receiver declared as `ty` dispatches on: the last path
+/// segment, past `&`, `mut`, lifetimes, `dyn` and `impl`, and inside
+/// `Arc<…>`, `Box<…>` and `Rc<…>`. `None` for tuples, slices, arrays and
+/// pointers.
+fn type_name(ty: &[Token]) -> Option<String> {
+    let mut k = 0;
+    while let Some(t) = ty.get(k) {
+        match &t.kind {
+            TokenKind::Punct('&') | TokenKind::Lifetime => k += 1,
+            TokenKind::Ident(s) if matches!(s.as_str(), "mut" | "dyn" | "impl") => k += 1,
+            _ => break,
+        }
+    }
+    let mut last: Option<&str> = None;
+    while let Some(t) = ty.get(k) {
+        match &t.kind {
+            TokenKind::Ident(s) => last = Some(plain(s)),
+            TokenKind::Punct(':') => {}
+            _ => break,
+        }
+        k += 1;
+    }
+    let last = last.filter(|s| !is_keyword(s) || *s == "Self")?;
+    if matches!(last, "Arc" | "Box" | "Rc") && ty.get(k).is_some_and(|t| t.is_punct('<')) {
+        return type_name(&ty[k + 1..]);
+    }
+    Some(last.to_string())
+}
+
+/// One `name: Type` piece of a field or parameter list: the name (past
+/// attributes, `pub(…)` and `mut`) and the [`type_name`] of its type.
+/// `None` for patterns other than one identifier, and for `self`.
+fn named_type(piece: &[Token]) -> Option<(String, String)> {
+    let mut k = 0;
+    loop {
+        let head = piece.get(k);
+        if head.is_some_and(|t| t.is_punct('#') || t.is_ident("pub")) {
+            // `#[…]` or `pub(…)`: skip past the bracket (a bare `pub`
+            // has none).
+            k = past_close(piece, k + 1);
+        } else if head.is_some_and(|t| t.is_ident("mut")) {
+            k += 1;
+        } else {
+            break;
+        }
+    }
+    let name = plain(piece.get(k)?.ident()?);
+    let colon = piece.get(k + 1).is_some_and(|t| t.is_punct(':'))
+        && !piece.get(k + 2).is_some_and(|t| t.is_punct(':'));
+    if !colon || is_keyword(name) {
+        return None;
+    }
+    Some((name.to_string(), type_name(&piece[k + 2..])?))
+}
+
+/// Records the named-type fields of the `struct` item at `i`. Tuple and
+/// unit structs have none.
+fn parse_struct_fields(code: &[Token], i: usize, out: &mut ParsedFile) {
+    let Some(name) = code.get(i + 1).and_then(Token::ident) else {
+        return;
+    };
+    let mut angle = 0i32;
+    let mut j = i + 2;
+    let open = loop {
+        match code.get(j).map(|t| &t.kind) {
+            None => return,
+            Some(TokenKind::Punct('<')) => angle += 1,
+            Some(TokenKind::Punct('>')) if closes_angle(code, j) => angle -= 1,
+            Some(TokenKind::Punct('{')) if angle == 0 => break j,
+            Some(TokenKind::Punct('(' | ';')) if angle == 0 => return,
+            _ => {}
+        }
+        j += 1;
+    };
+    let close = past_close(code, open) - 1;
+    for piece in split_top_level(&code[open + 1..close.max(open + 1)]) {
+        if let Some((field, ty)) = named_type(piece) {
+            out.fields.push((plain(name).to_string(), field, ty));
+        }
+    }
+}
+
+/// The named-type parameters of the fn whose `fn` keyword is at `i` and
+/// whose body opens at `body`: the first parenthesized list outside the
+/// generics.
+fn parse_params(code: &[Token], i: usize, body: usize) -> Vec<(String, String)> {
+    let mut angle = 0i32;
+    let open = (i + 2..body).find(|&k| match code[k].kind {
+        TokenKind::Punct('<') => {
+            angle += 1;
+            false
+        }
+        TokenKind::Punct('>') if closes_angle(code, k) => {
+            angle -= 1;
+            false
+        }
+        TokenKind::Punct('(') => angle == 0,
+        _ => false,
+    });
+    let Some(open) = open else {
+        return Vec::new();
+    };
+    let close = past_close(code, open) - 1;
+    split_top_level(&code[open + 1..close.max(open + 1)])
+        .into_iter()
+        .filter_map(named_type)
+        .collect()
+}
+
 /// Parses one `use …;` statement starting just after the `use` keyword.
 /// Returns the index one past the terminating `;`.
 fn parse_use(code: &[Token], start: usize, out: &mut ParsedFile) -> usize {
@@ -681,12 +844,31 @@ fn detect_call_or_sink(code: &[Token], i: usize, scopes: &[Scope], out: &mut Par
             push_sink(out, kind, what);
         }
         if !SINK_ONLY_METHODS.contains(&name) {
-            let recv_is_self =
-                i >= 2 && code[i - 2].is_ident("self") && !(i >= 3 && code[i - 3].is_punct('.'));
+            // The identifier `k` tokens back, and whether a `.` or `:`
+            // sits there (the receiver is then part of a longer path).
+            let back = |k: usize| i.checked_sub(k).and_then(|j| code[j].ident()).map(plain);
+            let back_is = |k: usize, c: char| i >= k && code[i - k].is_punct(c);
+            let in_path = |k: usize| back_is(k, '.') || back_is(k, ':');
+            let recv_is_self = back(2) == Some("self") && !back_is(3, '.');
             if recv_is_self {
                 push_call(out, CallKind::SelfMethod(name.to_string()));
             } else {
-                push_call(out, CallKind::Method(name.to_string()));
+                let recv = match back(2) {
+                    Some(field) if back_is(3, '.') && back(4) == Some("self") && !in_path(5) => {
+                        Receiver::SelfField(field.to_string())
+                    }
+                    Some(var) if !is_keyword(var) && !in_path(3) => {
+                        Receiver::Ident(var.to_string())
+                    }
+                    _ => Receiver::Other,
+                };
+                push_call(
+                    out,
+                    CallKind::Method {
+                        name: name.to_string(),
+                        recv,
+                    },
+                );
             }
         }
         return i + 1;
@@ -884,7 +1066,7 @@ mod tests {
             .iter()
             .map(|c| match &c.kind {
                 CallKind::Bare(n) => format!("bare:{n}"),
-                CallKind::Method(n) => format!("method:{n}"),
+                CallKind::Method { name, .. } => format!("method:{name}"),
                 CallKind::SelfMethod(n) => format!("self:{n}"),
                 CallKind::Path(p) => format!("path:{}", p.join("::")),
             })
@@ -1037,5 +1219,76 @@ mod tests {
             .find(|s| s.kind == SinkKind::Write)
             .unwrap();
         assert!(lock.order < write.order);
+    }
+
+    #[test]
+    fn records_struct_field_types() {
+        let src = "pub struct S<T: Clone> {\n  a: Arc<Mutex<T>>,\n  pub b: &'static Foo,\n  pub(crate) c: Box<dyn Bar + Send>,\n  #[allow(dead_code)]\n  d: Option<Baz>,\n  e: (u8, u8),\n  f: [u8; 4],\n  g: fn(u32) -> u32,\n  h: Rc<Box<crate::x::Deep>>,\n  i: Box<dyn Fn(u32) -> u32>,\n  j: a::b::Last,\n}\nstruct Tuple(Foo);\nstruct Unit;";
+        let p = parse_src(src);
+        let fields: Vec<(&str, &str, &str)> = p
+            .fields
+            .iter()
+            .map(|(s, f, t)| (s.as_str(), f.as_str(), t.as_str()))
+            .collect();
+        assert_eq!(
+            fields,
+            vec![
+                ("S", "a", "Mutex"),
+                ("S", "b", "Foo"),
+                ("S", "c", "Bar"),
+                ("S", "d", "Option"),
+                ("S", "h", "Deep"),
+                ("S", "i", "Fn"),
+                ("S", "j", "Last"),
+            ]
+        );
+    }
+
+    #[test]
+    fn records_param_types() {
+        let src = "impl T {\n  fn f<F: Fn(u32) -> u32>(&mut self, net: &'a mut Network, mut k: usize, (a, b): (u8, u8), cb: F, other: &Self) {}\n}\nfn g() {}";
+        let p = parse_src(src);
+        let params: Vec<(&str, &str)> = p.fns[0]
+            .params
+            .iter()
+            .map(|(n, t)| (n.as_str(), t.as_str()))
+            .collect();
+        assert_eq!(
+            params,
+            vec![
+                ("net", "Network"),
+                ("k", "usize"),
+                ("cb", "F"),
+                ("other", "Self")
+            ]
+        );
+        assert!(p.fns[1].params.is_empty());
+    }
+
+    #[test]
+    fn classifies_method_receivers() {
+        let src = "fn g(&self, p: P) {\n  self.field.m1();\n  p.m2();\n  self.a.b.m3();\n  f().m4();\n  xs[0].m5();\n  self.m6();\n  a::B.m7();\n}";
+        let p = parse_src(src);
+        let recvs: Vec<String> = p.fns[0]
+            .calls
+            .iter()
+            .filter_map(|c| match &c.kind {
+                CallKind::Method { name, recv } => Some(format!("{name}:{recv:?}")),
+                CallKind::SelfMethod(name) => Some(format!("{name}:self")),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            recvs,
+            vec![
+                "m1:SelfField(\"field\")",
+                "m2:Ident(\"p\")",
+                "m3:Other",
+                "m4:Other",
+                "m5:Other",
+                "m6:self",
+                "m7:Other",
+            ]
+        );
     }
 }

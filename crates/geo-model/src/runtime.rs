@@ -9,7 +9,8 @@
 //! regardless of worker count. [`par_map_indexed`] packages that argument:
 //! results land in pre-allocated slots (one disjoint chunk per worker via
 //! `chunks_mut`), so no ordering, merging, or locking can perturb the
-//! output.
+//! output. [`par_for_each_mut`] is the same argument over an existing
+//! slice, each item updated in place.
 //!
 //! Worker count comes from the `IPGEO_THREADS` environment variable:
 //! `IPGEO_THREADS=1` restores the fully serial behaviour, unset or `0`
@@ -65,6 +66,42 @@ where
         .into_iter()
         .map(|s| s.expect("every slot is covered by exactly one worker chunk"))
         .collect()
+}
+
+/// Calls `f(i, &mut items[i])` for every item, in place, in parallel
+/// across [`threads`] workers that each take one contiguous chunk. The
+/// in-place twin of [`par_map_indexed`]: nothing is allocated and nothing
+/// is moved, so a pass that fills one field of a large `Vec` of records
+/// (web synthesis' entity zips) costs no second copy of the `Vec`.
+///
+/// Under the purity contract of [`par_map_indexed`] — `f` writes a value
+/// that depends only on `i` and on what `items[i]` held before — the
+/// result is bit-identical to the serial loop at any worker count.
+pub fn par_for_each_mut<T, F>(items: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    let n = items.len();
+    let workers = threads().min(n.max(1));
+    if workers <= 1 {
+        for (i, item) in items.iter_mut().enumerate() {
+            f(i, item);
+        }
+        return;
+    }
+    let chunk = n.div_ceil(workers);
+    std::thread::scope(|scope| {
+        for (w, slice) in items.chunks_mut(chunk).enumerate() {
+            let f = &f;
+            scope.spawn(move || {
+                let base = w * chunk;
+                for (off, item) in slice.iter_mut().enumerate() {
+                    f(base + off, item);
+                }
+            });
+        }
+    });
 }
 
 /// Fills a `rows * cols` row-major arena in parallel: `f(r, row)` writes
@@ -199,6 +236,49 @@ mod tests {
         let data: Vec<usize> = (0..100).rev().collect();
         let out = par_map_indexed(100, |i| data[i]);
         assert_eq!(out, data);
+    }
+
+    #[test]
+    fn for_each_mut_matches_serial_loop() {
+        let mut serial: Vec<u64> = (0..1000).map(|i| i as u64 * 3).collect();
+        for (i, x) in serial.iter_mut().enumerate() {
+            *x = x.wrapping_mul(0x9E37) ^ i as u64;
+        }
+        let mut parallel: Vec<u64> = (0..1000).map(|i| i as u64 * 3).collect();
+        par_for_each_mut(&mut parallel, |i, x| *x = x.wrapping_mul(0x9E37) ^ i as u64);
+        assert_eq!(serial, parallel);
+    }
+
+    #[test]
+    fn for_each_mut_covers_every_index_exactly_once() {
+        let count = AtomicUsize::new(0);
+        let mut seen = vec![usize::MAX; 537];
+        par_for_each_mut(&mut seen, |i, slot| {
+            count.fetch_add(1, Ordering::Relaxed);
+            assert_eq!(*slot, usize::MAX, "index {i} visited twice");
+            *slot = i;
+        });
+        assert_eq!(count.load(Ordering::Relaxed), 537);
+        assert_eq!(seen, (0..537).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn for_each_mut_empty_and_single_ranges() {
+        let mut empty: Vec<usize> = Vec::new();
+        par_for_each_mut(&mut empty, |_, _| panic!("no item to visit"));
+        assert!(empty.is_empty());
+        let mut one = vec![5usize];
+        par_for_each_mut(&mut one, |i, x| *x = *x * 2 + i);
+        assert_eq!(one, vec![10]);
+    }
+
+    #[test]
+    fn for_each_mut_fewer_items_than_workers() {
+        // Chunks never exceed the slice; no worker sees an out-of-range
+        // index.
+        let mut items = vec![0usize; 3];
+        par_for_each_mut(&mut items, |i, x| *x = i + 10);
+        assert_eq!(items, vec![10, 11, 12]);
     }
 
     #[test]

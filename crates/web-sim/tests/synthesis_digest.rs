@@ -1,9 +1,11 @@
 //! Bit-equivalence of world and web synthesis against pinned digests.
 //!
 //! `World::generate` and `WebEcosystem::generate` run on flat tables (a
-//! dense CSR city grid, contiguous per-city entity ranges, a CSR zip
-//! table and one distinct-zip counting pass). They must reproduce the
-//! hash-map implementation they replaced draw for draw. These digests
+//! dense CSR city grid holding each center's trig, contiguous per-city
+//! entity ranges, a counting-sorted zip table and one distinct-zip
+//! counting pass), scan CDN edges with a chord bound and find entity zips
+//! on the worker pool. They must reproduce the hash-map implementation
+//! they replaced draw for draw, at any `IPGEO_THREADS`. These digests
 //! were computed from that implementation and must never change: every
 //! host, entity and website field is hashed at full precision (f64 bits),
 //! along with both entity indexes and a probe grid of `CityIndex` queries

@@ -10,7 +10,7 @@ use crate::config::WorldConfig;
 use crate::continent::Continent;
 use crate::ids::{CityId, CountryId};
 use geo_model::distr::Zipf;
-use geo_model::point::GeoPoint;
+use geo_model::point::{GeoPoint, PointTrig};
 use geo_model::units::Km;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -140,10 +140,16 @@ const LON_CELLS: usize = 361;
 /// The grid is one dense CSR table over every 1° cell of the globe (about
 /// 260 KB): cell `k` lists `ids[starts[k]..starts[k + 1]]`, its cities in
 /// ascending id order, so a lookup is two loads instead of a hash probe.
+///
+/// Each center is stored as its [`PointTrig`]: a query derives the probe's
+/// trig once and measures every candidate with [`PointTrig::distance`],
+/// which is bit-identical to [`GeoPoint::distance`] (center first, probe
+/// second, as before), so only the per-candidate trig of both endpoints
+/// is saved.
 #[derive(Debug, Clone)]
 pub struct CityIndex {
-    /// City centers, indexed by `CityId`.
-    centers: Vec<GeoPoint>,
+    /// City center trig, indexed by `CityId`.
+    centers: Vec<PointTrig>,
     /// Row-major (lat, lon) cell offsets into `ids`; one extra sentinel.
     starts: Vec<u32>,
     /// City indices grouped by cell.
@@ -179,7 +185,7 @@ impl CityIndex {
             fill[k] += 1;
         }
         CityIndex {
-            centers,
+            centers: centers.iter().map(PointTrig::of).collect(),
             starts,
             ids,
         }
@@ -205,6 +211,7 @@ impl CityIndex {
             return None;
         }
         let (clat, clon) = Self::cell(p);
+        let probe = PointTrig::of(p);
         // Expand search rings until a hit is found, then one extra ring to
         // guard against grid-boundary effects.
         let mut best: Option<(u32, f64)> = None;
@@ -220,7 +227,7 @@ impl CityIndex {
                     // Wrap longitude cells.
                     let lon_cell = wrap_lon_cell(clon + dlon);
                     for &i in self.bucket(clat + dlat, lon_cell) {
-                        let d = self.centers[i as usize].distance(p).value();
+                        let d = self.centers[i as usize].distance(&probe).value();
                         if best.is_none_or(|(_, bd)| d < bd) {
                             best = Some((i, d));
                         }
@@ -255,12 +262,13 @@ impl CityIndex {
         let lon_km = 111.32 * worst_lat.to_radians().cos();
         let cells = (radius.value() / lon_km.min(110.57)).ceil() as i32 + 1;
         let (clat, clon) = Self::cell(p);
+        let probe = PointTrig::of(p);
         let mut out = Vec::new();
         for dlat in -cells..=cells {
             for dlon in -cells..=cells {
                 let lon_cell = wrap_lon_cell(clon + dlon);
                 for &i in self.bucket(clat + dlat, lon_cell) {
-                    let d = self.centers[i as usize].distance(p);
+                    let d = self.centers[i as usize].distance(&probe);
                     if d <= radius {
                         out.push((CityId(i), d));
                     }
