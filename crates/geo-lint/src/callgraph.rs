@@ -5,9 +5,10 @@
 //! same-module free functions, `use`-imported names, fully-qualified
 //! paths (with `crate`/`self`/`super`/`Self` normalization), enclosing
 //! `impl` for `self.method()` calls, the declared type of the receiver
-//! for `self.field.method()` and `param.method()` calls, and unique-name
-//! matching for other method calls. What cannot be pinned down is
-//! *recorded* as an unresolved call — never treated as
+//! for `self.field.method()` and `param.method()` calls, the target type
+//! of a `type` alias for `Alias::f` paths and alias-typed receivers, and
+//! unique-name matching for other method calls. What cannot be pinned
+//! down is *recorded* as an unresolved call — never treated as
 //! resolved-to-nothing-safe.
 
 use crate::parser::{CallKind, FnItem, ParsedFile, Receiver, Sink};
@@ -17,6 +18,11 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 /// as (crate dir of the type, type); `None` when the crate declares the
 /// struct name twice with different types for the field.
 type FieldTypes = HashMap<(String, String, String), Option<(String, String)>>;
+
+/// Module-level `type` aliases, keyed by (crate dir, alias), each as
+/// (crate dir of the target, target type); `None` when the crate declares
+/// the alias twice with different targets.
+type Aliases = HashMap<(String, String), Option<(String, String)>>;
 
 /// One function node in the graph.
 #[derive(Debug)]
@@ -358,25 +364,28 @@ pub(crate) fn build(files: &[FileInput<'_>], crate_idents: &BTreeMap<String, Str
         }
     }
 
-    // Declared field types of the crates' `src/` structs. A struct name
-    // declared twice in a crate with different field types maps to `None`:
-    // its fields resolve by name only.
+    // Declared field types and `type` alias targets of the crates' `src/`
+    // files. A struct name declared twice in a crate with different field
+    // types maps to `None`, and so does an alias declared twice with
+    // different targets: they resolve by name only.
     let mut field_types: FieldTypes = HashMap::new();
+    let mut aliases: Aliases = HashMap::new();
     for f in files {
         let (Some(dir), true, _) = classify_path(f.rel) else {
             continue;
         };
         let imports = import_map(f.parsed);
+        let typed =
+            |ty: &String| type_dir(ty, &dir, &imports, &ident_to_dir).map(|d| (d, ty.clone()));
         for (owner, field, ty) in &f.parsed.fields {
-            let typed = type_dir(ty, &dir, &imports, &ident_to_dir).map(|d| (d, ty.clone()));
-            field_types
-                .entry((dir.clone(), owner.clone(), field.clone()))
-                .and_modify(|known| {
-                    if *known != typed {
-                        *known = None;
-                    }
-                })
-                .or_insert(typed);
+            merge(
+                &mut field_types,
+                (dir.clone(), owner.clone(), field.clone()),
+                typed(ty),
+            );
+        }
+        for (alias, target) in &f.parsed.aliases {
+            merge(&mut aliases, (dir.clone(), alias.clone()), typed(target));
         }
     }
 
@@ -400,6 +409,7 @@ pub(crate) fn build(files: &[FileInput<'_>], crate_idents: &BTreeMap<String, Str
             typefn_by_crate: &typefn_by_crate,
             freefn_by_crate: &freefn_by_crate,
             field_types: &field_types,
+            aliases: &aliases,
         };
         for (gi, item) in f.parsed.fns.iter().enumerate() {
             let from = node_of[&(fi, gi)];
@@ -440,6 +450,22 @@ pub(crate) fn build(files: &[FileInput<'_>], crate_idents: &BTreeMap<String, Str
         unresolved,
         edge_count,
     }
+}
+
+/// Records `typed` under `key`, or `None` when `key` already holds a
+/// different type.
+fn merge<K: std::hash::Hash + Eq>(
+    map: &mut HashMap<K, Option<(String, String)>>,
+    key: K,
+    typed: Option<(String, String)>,
+) {
+    map.entry(key)
+        .and_modify(|known| {
+            if *known != typed {
+                *known = None;
+            }
+        })
+        .or_insert(typed);
 }
 
 /// (crate dir, in_src, module path) for a root-relative file path.
@@ -544,6 +570,7 @@ struct ResolveScope<'a> {
     typefn_by_crate: &'a HashMap<(String, String, String), Vec<usize>>,
     freefn_by_crate: &'a HashMap<(String, String), Vec<usize>>,
     field_types: &'a FieldTypes,
+    aliases: &'a Aliases,
 }
 
 impl ResolveScope<'_> {
@@ -556,11 +583,34 @@ impl ResolveScope<'_> {
         }
     }
 
+    /// The unique fn `name` in an impl of type `ty` in crate `dir`.
+    fn type_fn(&self, dir: &str, ty: &str, name: &str) -> Option<usize> {
+        match self
+            .typefn_by_crate
+            .get(&(dir.to_string(), ty.to_string(), name.to_string()))
+            .map(Vec::as_slice)
+        {
+            Some([one]) => Some(*one),
+            _ => None,
+        }
+    }
+
+    /// [`Self::type_fn`] of the target type when `ty` is a `type` alias
+    /// declared in crate `dir`.
+    fn alias_fn(&self, dir: &str, ty: &str, name: &str) -> Option<usize> {
+        let (target_dir, target) = self
+            .aliases
+            .get(&(dir.to_string(), ty.to_string()))?
+            .as_ref()?;
+        self.type_fn(target_dir, target, name)
+    }
+
     /// `self.field.name()` and `param.name()`: the receiver's declared
-    /// type names a crate and a type, and a unique `name` among that
-    /// type's methods there is the target. Any other receiver, a type
-    /// outside the workspace, or a method the type's crate does not
-    /// define falls back to [`Self::resolve_method`].
+    /// type (or the target of the alias it names) gives a crate and a
+    /// type, and a unique `name` among that type's methods there is the
+    /// target. Any other receiver, a type outside the workspace, or a
+    /// method the type's crate does not define falls back to
+    /// [`Self::resolve_method`].
     fn resolve_typed_method(&self, name: &str, recv: &Receiver, item: &FnItem) -> Resolution {
         let typed = match (recv, self.crate_dir) {
             (Receiver::SelfField(field), Some(dir)) => item.impl_type.as_ref().and_then(|owner| {
@@ -582,12 +632,9 @@ impl ResolveScope<'_> {
             _ => None,
         };
         if let Some((dir, ty)) = typed {
-            if let Some([one]) = self
-                .typefn_by_crate
-                .get(&(dir, ty, name.to_string()))
-                .map(Vec::as_slice)
-            {
-                return Resolution::Target(*one);
+            let found = self.type_fn(&dir, &ty, name);
+            if let Some(one) = found.or_else(|| self.alias_fn(&dir, &ty, name)) {
+                return Resolution::Target(one);
             }
         }
         self.resolve_method(name)
@@ -639,15 +686,8 @@ impl ResolveScope<'_> {
                 return Resolution::Target(idx);
             }
             // Another impl block of the same type elsewhere in the crate.
-            if let Some(dir) = self.crate_dir {
-                if let Some(c) =
-                    self.typefn_by_crate
-                        .get(&(dir.to_string(), ty.clone(), name.to_string()))
-                {
-                    if c.len() == 1 {
-                        return Resolution::Target(c[0]);
-                    }
-                }
+            if let Some(idx) = self.crate_dir.and_then(|dir| self.type_fn(dir, ty, name)) {
+                return Resolution::Target(idx);
             }
         }
         self.resolve_method(name)
@@ -793,6 +833,13 @@ impl ResolveScope<'_> {
             }
         }
 
+        // `Alias::f` for an alias declared in this crate.
+        if let (Some(dir), [alias, name]) = (self.crate_dir, segs) {
+            if let Some(idx) = self.alias_fn(dir, alias, name) {
+                return Resolution::Target(idx);
+            }
+        }
+
         path_fallback(segs)
     }
 
@@ -811,17 +858,14 @@ impl ResolveScope<'_> {
             return path_fallback(as_written);
         };
         // Re-export fallback: `crate::Type::f` where `Type` really lives in
-        // `crate::module::Type` — match by (crate, Type, name) then by
-        // (crate, free fn name) when unique.
+        // `crate::module::Type` — match by (crate, Type, name), then through
+        // `Type` as an alias, then by (crate, free fn name) when unique.
         let n = abs.len();
         if n >= 3 {
-            if let Some(c) =
-                self.typefn_by_crate
-                    .get(&(dir.to_string(), abs[n - 2].clone(), abs[n - 1].clone()))
-            {
-                if c.len() == 1 {
-                    return Resolution::Target(c[0]);
-                }
+            let (ty, name) = (&abs[n - 2], &abs[n - 1]);
+            let found = self.type_fn(dir, ty, name);
+            if let Some(idx) = found.or_else(|| self.alias_fn(dir, ty, name)) {
+                return Resolution::Target(idx);
             }
         }
         if n >= 2 {
@@ -1061,6 +1105,75 @@ impl Helper {
         let (targets, unresolved) = calls_of(&g, "lanes::Net::merge");
         assert_eq!(targets, vec!["lanes::Net::prepare"]);
         assert!(unresolved.is_empty(), "{unresolved:?}");
+    }
+
+    /// `Delays` aliases `Matrix<f64>`; `rows` is a method of two types,
+    /// so only the alias target can pick one.
+    const GRID: &str = "pub struct Matrix<T> {
+    cells: Vec<T>,
+}
+impl<T> Matrix<T> {
+    pub fn cell(v: f64) -> f64 { v }
+    pub fn rows(&self) -> usize { 0 }
+}
+pub struct Other;
+impl Other {
+    pub fn rows(&self) -> usize { 1 }
+}
+pub type Delays = Matrix<f64>;
+pub fn local() -> f64 {
+    Delays::cell(1.0)
+}
+";
+
+    const USER: &str = "use grid::Delays;
+pub struct Holder {
+    d: Delays,
+}
+impl Holder {
+    pub fn rows(&self) -> usize {
+        self.d.rows()
+    }
+}
+pub fn fill(m: &Delays) -> f64 {
+    m.rows();
+    Delays::cell(2.0) + Delays::missing(3.0)
+}
+";
+
+    fn aliased() -> Graph {
+        graph(&[
+            ("crates/grid/src/lib.rs", GRID),
+            ("crates/user/src/lib.rs", USER),
+        ])
+    }
+
+    #[test]
+    fn alias_paths_resolve_through_the_target_type() {
+        let g = aliased();
+        let (targets, unresolved) = calls_of(&g, "grid::local");
+        assert_eq!(targets, vec!["grid::Matrix::cell"]);
+        assert!(unresolved.is_empty(), "{unresolved:?}");
+        let (targets, _) = calls_of(&g, "user::fill");
+        assert!(targets.contains(&"grid::Matrix::cell"), "{targets:?}");
+    }
+
+    #[test]
+    fn alias_typed_receivers_resolve_through_the_target_type() {
+        let g = aliased();
+        let (targets, unresolved) = calls_of(&g, "user::Holder::rows");
+        assert_eq!(targets, vec!["grid::Matrix::rows"]);
+        assert!(unresolved.is_empty(), "{unresolved:?}");
+        let (targets, _) = calls_of(&g, "user::fill");
+        assert!(targets.contains(&"grid::Matrix::rows"), "{targets:?}");
+    }
+
+    #[test]
+    fn alias_without_the_method_stays_unresolved() {
+        let g = aliased();
+        let (targets, unresolved) = calls_of(&g, "user::fill");
+        assert_eq!(targets, vec!["grid::Matrix::cell", "grid::Matrix::rows"]);
+        assert_eq!(unresolved, vec!["grid::Delays::missing"]);
     }
 
     #[test]

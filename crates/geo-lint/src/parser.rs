@@ -128,6 +128,9 @@ pub(crate) struct ParsedFile {
     /// Named-struct fields with a named type: `(struct, field, type)`, the
     /// type as [`type_name`] reads it.
     pub fields: Vec<(String, String, String)>,
+    /// Module-level `type Alias = Target<…>;` items: `(alias, target)`,
+    /// the target as [`type_name`] reads it.
+    pub aliases: Vec<(String, String)>,
     /// Sinks outside every fn body: clock identifiers anywhere, and all
     /// sinks of a `macro_rules!` template. The direct parts of D1, R1 and
     /// R4 flag the kinds they read; no graph node owns them.
@@ -292,6 +295,12 @@ pub(crate) fn parse(code: &[Token], comments: &[Comment]) -> ParsedFile {
                             }
                             None => i += 1,
                         }
+                    }
+                    "type" if scopes.iter().all(|s| matches!(s.kind, ScopeKind::Mod(_))) => {
+                        // Associated types sit in impl and trait scopes;
+                        // only module-level aliases name a type.
+                        parse_type_alias(code, i, &mut out);
+                        i += 1;
                     }
                     "struct" if !in_fn => {
                         // Fields are read ahead; the body is then scanned
@@ -697,6 +706,32 @@ fn parse_struct_fields(code: &[Token], i: usize, out: &mut ParsedFile) {
         if let Some((field, ty)) = named_type(piece) {
             out.fields.push((plain(name).to_string(), field, ty));
         }
+    }
+}
+
+/// Records the `type` alias item at `i`: its name and the [`type_name`]
+/// of everything between the `=` outside its generics and the `;`.
+fn parse_type_alias(code: &[Token], i: usize, out: &mut ParsedFile) {
+    let Some(name) = code.get(i + 1).and_then(Token::ident) else {
+        return;
+    };
+    let mut angle = 0i32;
+    let mut j = i + 2;
+    let eq = loop {
+        match code.get(j).map(|t| &t.kind) {
+            None | Some(TokenKind::Punct(';' | '{')) => return,
+            Some(TokenKind::Punct('<')) => angle += 1,
+            Some(TokenKind::Punct('>')) if closes_angle(code, j) => angle -= 1,
+            Some(TokenKind::Punct('=')) if angle == 0 => break j,
+            _ => {}
+        }
+        j += 1;
+    };
+    let end = (eq + 1..code.len())
+        .find(|&k| code[k].is_punct(';'))
+        .unwrap_or(code.len());
+    if let Some(target) = type_name(&code[eq + 1..end]) {
+        out.aliases.push((plain(name).to_string(), target));
     }
 }
 
@@ -1240,6 +1275,26 @@ mod tests {
                 ("S", "h", "Deep"),
                 ("S", "i", "Fn"),
                 ("S", "j", "Last"),
+            ]
+        );
+    }
+
+    #[test]
+    fn records_module_level_type_aliases() {
+        let src = "pub type DelayMatrix = Matrix<f64>;\ntype Map<K, V = u8> = std::collections::HashMap<K, V>;\ntype Shared = Arc<crate::x::Deep>;\ntype Pair = (u8, u8);\nmod inner {\n  pub(crate) type Tick = u64;\n}\nimpl Add for X {\n  type Output = X;\n}\ntrait T {\n  type Item = u8;\n}\nfn f() {\n  type Local = Vec<u8>;\n}";
+        let p = parse_src(src);
+        let aliases: Vec<(&str, &str)> = p
+            .aliases
+            .iter()
+            .map(|(a, t)| (a.as_str(), t.as_str()))
+            .collect();
+        assert_eq!(
+            aliases,
+            vec![
+                ("DelayMatrix", "Matrix"),
+                ("Map", "HashMap"),
+                ("Shared", "Deep"),
+                ("Tick", "u64"),
             ]
         );
     }

@@ -34,7 +34,10 @@ fn default_threads() -> usize {
 }
 
 /// Maps `f` over `0..n` into a `Vec`, in parallel across [`threads`]
-/// workers, with output bit-identical to `(0..n).map(f).collect()`.
+/// workers, with output bit-identical to `(0..n).map(f).collect()`. The
+/// workers fill one `Option<T>` slot per index through
+/// [`par_for_each_mut`]; at one worker the map runs inline, with no slot
+/// vector.
 ///
 /// `f` must be a pure function of the index for the determinism guarantee
 /// to hold; all campaign closures in this workspace are (they only read
@@ -44,24 +47,12 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let workers = threads().min(n.max(1));
-    if workers <= 1 {
+    if n <= 1 || threads() <= 1 {
         return (0..n).map(f).collect();
     }
     let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (w, slice) in slots.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                let base = w * chunk;
-                for (off, slot) in slice.iter_mut().enumerate() {
-                    *slot = Some(f(base + off));
-                }
-            });
-        }
-    });
+    par_for_each_mut(&mut slots, |i, slot| *slot = Some(f(i)));
     slots
         .into_iter()
         .map(|s| s.expect("every slot is covered by exactly one worker chunk"))

@@ -31,8 +31,8 @@
 //!   request/response protocol (batched/pipelined LOCATE/NEAREST/STATS
 //!   frames) and its blocking [`BinaryClient`];
 //! - [`poll`] — the safe-`std` readiness poller the server's workers
-//!   run on: slot registry, interest tracking, wake token, adaptive
-//!   idle backoff;
+//!   run on: slot registry, idle parking, wake token, adaptive idle
+//!   backoff;
 //! - [`cache`] — [`HotCache`], the sharded hot-prefix cache layered
 //!   over [`DatasetStore`] reads;
 //! - [`diff`] — [`DiffReport`], the longitudinal added/removed/moved/

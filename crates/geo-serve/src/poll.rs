@@ -7,8 +7,6 @@
 //! - [`Registry`] — slot-indexed connection storage handing out
 //!   deterministic [`Token`]s (lowest free slot wins, so token
 //!   assignment is a pure function of the accept/close sequence);
-//! - [`Interest`] — per-connection readiness interest, so a sweep
-//!   skips connections that want nothing;
 //! - [`Waker`]/[`Poller::wake_requested`] — the deterministic wake
 //!   token: shutdown flips one shared atomic and every worker observes
 //!   it at the top of its next sweep, replacing the old "dial a dummy
@@ -41,33 +39,10 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Token(pub usize);
 
-/// What a connection wants from the next sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Interest {
-    /// The connection wants its socket read.
-    pub readable: bool,
-    /// The connection has buffered output to flush.
-    pub writable: bool,
-}
-
-impl Interest {
-    /// Interest in reads only (a fresh connection).
-    pub const READ: Interest = Interest {
-        readable: true,
-        writable: false,
-    };
-
-    /// No interest at all; the sweep skips the connection.
-    pub fn is_idle(self) -> bool {
-        !self.readable && !self.writable
-    }
-}
-
 /// One occupied registry slot.
 #[derive(Debug)]
 struct Slot<C> {
     conn: C,
-    interest: Interest,
     /// Parked connections are skipped by [`Registry::tokens`] until
     /// [`Registry::unpark_due`] (or [`Registry::unpark_all`]) re-arms
     /// them.
@@ -110,11 +85,10 @@ impl<C> Registry<C> {
 
     /// Registers a connection, returning its token (lowest free slot).
     // geo-lint: allow(R1, reason = "slot index comes from `position` over the same vec in the same &mut borrow")
-    pub fn register(&mut self, conn: C, interest: Interest) -> Token {
+    pub fn register(&mut self, conn: C) -> Token {
         self.live += 1;
         let slot = Slot {
             conn,
-            interest,
             parked: false,
         };
         match self.slots.iter().position(Option::is_none) {
@@ -142,12 +116,9 @@ impl<C> Registry<C> {
         taken.map(|s| s.conn)
     }
 
-    /// Mutable access to a registered connection and its interest.
-    pub fn get_mut(&mut self, token: Token) -> Option<(&mut C, &mut Interest)> {
-        self.slots
-            .get_mut(token.0)?
-            .as_mut()
-            .map(|s| (&mut s.conn, &mut s.interest))
+    /// Mutable access to a registered connection.
+    pub fn get_mut(&mut self, token: Token) -> Option<&mut C> {
+        self.slots.get_mut(token.0)?.as_mut().map(|s| &mut s.conn)
     }
 
     /// Live connection count (parked connections included — they still
@@ -344,41 +315,26 @@ mod tests {
     #[test]
     fn registry_reuses_lowest_free_slot() {
         let mut r: Registry<&str> = Registry::new();
-        let a = r.register("a", Interest::READ);
-        let b = r.register("b", Interest::READ);
-        let c = r.register("c", Interest::READ);
+        let a = r.register("a");
+        let b = r.register("b");
+        let c = r.register("c");
         assert_eq!((a, b, c), (Token(0), Token(1), Token(2)));
         assert_eq!(r.deregister(b), Some("b"));
         assert_eq!(r.len(), 2);
         // The freed middle slot is recycled before the tail grows.
-        assert_eq!(r.register("d", Interest::READ), Token(1));
+        assert_eq!(r.register("d"), Token(1));
         assert_eq!(r.tokens(), vec![Token(0), Token(1), Token(2)]);
-        assert_eq!(r.get_mut(Token(1)).map(|(c, _)| *c), Some("d"));
+        assert_eq!(r.get_mut(Token(1)).map(|c| *c), Some("d"));
         // Double-deregister is a no-op, not a count corruption.
         assert_eq!(r.deregister(Token(9)), None);
         assert_eq!(r.len(), 3);
     }
 
     #[test]
-    fn interest_gates_the_sweep() {
-        let mut r: Registry<u8> = Registry::new();
-        let t = r.register(7, Interest::READ);
-        {
-            let (_, interest) = r.get_mut(t).unwrap();
-            assert!(interest.readable && !interest.is_idle());
-            interest.readable = false;
-            assert!(interest.is_idle());
-            interest.writable = true;
-        }
-        let (_, interest) = r.get_mut(t).unwrap();
-        assert!(interest.writable);
-    }
-
-    #[test]
     fn parked_connections_leave_the_sweep_until_due() {
         let mut r: Registry<&str> = Registry::new();
-        let a = r.register("a", Interest::READ);
-        let b = r.register("b", Interest::READ);
+        let a = r.register("a");
+        let b = r.register("b");
         assert!(r.park(a, 10));
         assert!(!r.park(a, 12), "double-park is refused");
         assert_eq!(r.tokens(), vec![b]);
@@ -396,13 +352,13 @@ mod tests {
     #[test]
     fn stale_rearm_entries_are_harmless_after_slot_recycling() {
         let mut r: Registry<&str> = Registry::new();
-        let a = r.register("a", Interest::READ);
+        let a = r.register("a");
         assert!(r.park(a, 5));
         // The parked connection closes; its slot is recycled by a fresh
         // connection, which must start un-parked.
         assert_eq!(r.deregister(a), Some("a"));
         assert_eq!(r.parked_len(), 0);
-        let fresh = r.register("fresh", Interest::READ);
+        let fresh = r.register("fresh");
         assert_eq!(fresh, a, "lowest slot is recycled");
         assert_eq!(r.tokens(), vec![fresh]);
         // The stale re-arm entry fires without corrupting counts.
@@ -414,7 +370,7 @@ mod tests {
     #[test]
     fn unpark_all_rearms_everything_at_once() {
         let mut r: Registry<u8> = Registry::new();
-        let toks: Vec<Token> = (0..4).map(|i| r.register(i, Interest::READ)).collect();
+        let toks: Vec<Token> = (0..4).map(|i| r.register(i)).collect();
         for &t in &toks[..3] {
             assert!(r.park(t, u64::MAX));
         }

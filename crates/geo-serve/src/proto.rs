@@ -675,12 +675,6 @@ impl BinaryClient {
         Ok(())
     }
 
-    /// Sends pre-encoded frame bytes (the load generator's hot path:
-    /// frames are encoded once up front, outside the timed window).
-    pub fn send_raw(&mut self, frame: &[u8]) -> io::Result<()> {
-        self.stream.write_all(frame)
-    }
-
     /// Blocks until the next response frame arrives and decodes it.
     pub fn recv(&mut self) -> Result<Response, ClientError> {
         let mut header = [0u8; HEADER_LEN];

@@ -87,7 +87,7 @@
 use crate::cache::{CacheKind, CacheValue};
 use crate::format::method_tag;
 use crate::lifecycle::{ConnPhase, Eviction, Lifecycle, ServeClock, ServeLimits, Tick};
-use crate::poll::{Interest, Poller, Registry, Waker};
+use crate::poll::{Poller, Registry, Waker};
 use crate::proto::{
     self, encode_error, try_decode_request, LocateRecord, Opcode, Request, ResponseWriter,
     StatsRecord,
@@ -934,7 +934,7 @@ fn worker_loop(listener: &TcpListener, serving: &Serving, mut poller: Poller) {
                         if shed {
                             serving.stats.shed.fetch_add(1, Ordering::Relaxed);
                         }
-                        registry.register(Conn::new(stream, now, shed), Interest::READ);
+                        registry.register(Conn::new(stream, now, shed));
                         progress = true;
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -943,7 +943,7 @@ fn worker_loop(listener: &TcpListener, serving: &Serving, mut poller: Poller) {
             }
         }
         for token in registry.tokens() {
-            let Some((conn, _)) = registry.get_mut(token) else {
+            let Some(conn) = registry.get_mut(token) else {
                 continue;
             };
             match sweep_conn(

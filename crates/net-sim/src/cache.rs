@@ -1,14 +1,15 @@
 //! Sharded memoization of the jitter-free base RTT.
 //!
-//! [`measure::base_rtt`](crate::measure::base_rtt) synthesizes the forward
-//! and reverse router-level paths and sums their one-way delays — the
-//! deterministic part of every ping. [`BaseDelayCache`] memoizes the value
-//! per unordered endpoint pair behind `Network::base_rtt`, which
-//! `Network::ping` and the traceroute's destination ping read. Bulk
-//! traffic does not come here: `Network::ping_min` and campaign rows
-//! compute the same bits from the route cache's per-host and per-PoP
-//! lanes, because they almost never measure a pair twice (1.4% of the
-//! pings in a publish build of the paper world repeat a host pair).
+//! The base RTT of a host pair sums the one-way delays of its forward
+//! and reverse router-level paths — the deterministic part of every ping
+//! ([`RouteCache::base_rtt_ms`](crate::RouteCache::base_rtt_ms)).
+//! [`BaseDelayCache`] memoizes the value per unordered endpoint pair
+//! behind `Network::base_rtt`, which the traceroute's destination ping
+//! reads. Bulk traffic does not come here: `Network::ping_min` and
+//! campaign rows compute the same bits from the route cache's per-host
+//! and per-PoP lanes, because they almost never measure a pair twice
+//! (1.4% of the pings in a publish build of the paper world repeat a
+//! host pair).
 //!
 //! Design notes:
 //!

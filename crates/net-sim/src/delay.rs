@@ -1,17 +1,17 @@
-//! Delay composition: link propagation, router processing, jitter and
-//! last-mile sampling.
+//! Link delay: propagation over a cable-inflated geodesic plus the metro
+//! detour, and the symmetric keys that pick each link's inflation.
 //!
-//! Every delay is a pure function of the world, the parameters, and a
-//! 64-bit key derived from (seed, endpoints, nonce) — no global state.
+//! Every delay is a pure function of the parameters, the two link ends
+//! and a 64-bit key derived from their identities — no global state.
+//! [`RouteCache`](crate::RouteCache) composes these links into path
+//! delays, and [`NoiseModel`](crate::NoiseModel) draws the per-packet
+//! jitter and last-mile samples on top.
 
 use crate::params::NetParams;
-use crate::route::{Endpoint, Path, Waypoint};
-use geo_model::distr::{LogNormal, Sample};
+use crate::route::{Endpoint, Waypoint};
 use geo_model::point::GeoPoint;
-use geo_model::rng::{fnv1a, splitmix64, KeyRng, Seed};
+use geo_model::rng::{fnv1a, splitmix64};
 use geo_model::units::{Km, Ms};
-use world_sim::host::LastMile;
-use world_sim::World;
 
 /// Threshold below which a link is "metro" and gets the local-loop detour.
 const METRO_LINK_KM: f64 = 30.0;
@@ -41,14 +41,6 @@ pub fn link_delay(params: &NetParams, a: &GeoPoint, b: &GeoPoint, key: u64) -> M
     Ms(ms)
 }
 
-/// Resolves an endpoint's physical location.
-pub fn endpoint_location(world: &World, ep: Endpoint) -> GeoPoint {
-    match ep {
-        Endpoint::Host(id) => world.host(id).location,
-        Endpoint::Router(asn, city) => Waypoint { asn, city }.location(world),
-    }
-}
-
 /// A stable key for the link between two abstract link endpoints.
 pub(crate) fn link_key(a_tag: u64, b_tag: u64) -> u64 {
     // Symmetric: the same cable is used in both directions.
@@ -73,103 +65,12 @@ pub(crate) fn waypoint_tag(wp: &Waypoint) -> u64 {
     endpoint_tag(Endpoint::Router(wp.asn, wp.city))
 }
 
-/// Deterministic one-way delay along a path: link propagation plus
-/// per-router processing. No jitter, no last-mile.
-pub fn one_way_delay(world: &World, params: &NetParams, path: &Path) -> Ms {
-    let mut total = Ms::ZERO;
-    let mut prev_loc = endpoint_location(world, path.src);
-    let mut prev_tag = endpoint_tag(path.src);
-    for wp in &path.waypoints {
-        let loc = wp.location(world);
-        let tag = waypoint_tag(wp);
-        total += link_delay(params, &prev_loc, &loc, link_key(prev_tag, tag));
-        total += Ms(params.hop_processing_ms);
-        prev_loc = loc;
-        prev_tag = tag;
-    }
-    let dst_loc = endpoint_location(world, path.dst);
-    total += link_delay(
-        params,
-        &prev_loc,
-        &dst_loc,
-        link_key(prev_tag, endpoint_tag(path.dst)),
-    );
-    total
-}
-
-/// Cumulative one-way delays from the path source to each waypoint (used
-/// for traceroute per-hop timing). Entry `i` is the delay to waypoint `i`.
-pub fn cumulative_delays(world: &World, params: &NetParams, path: &Path) -> Vec<Ms> {
-    let mut out = Vec::with_capacity(path.waypoints.len());
-    let mut total = Ms::ZERO;
-    let mut prev_loc = endpoint_location(world, path.src);
-    let mut prev_tag = endpoint_tag(path.src);
-    for wp in &path.waypoints {
-        let loc = wp.location(world);
-        let tag = waypoint_tag(wp);
-        total += link_delay(params, &prev_loc, &loc, link_key(prev_tag, tag));
-        total += Ms(params.hop_processing_ms);
-        out.push(total);
-        prev_loc = loc;
-        prev_tag = tag;
-    }
-    out
-}
-
-/// Per-packet jitter sample: lognormal with the configured median.
-pub fn jitter(params: &NetParams, seed: Seed, key: u64) -> Ms {
-    if params.jitter_median_ms <= 0.0 {
-        return Ms::ZERO;
-    }
-    let mut rng = KeyRng::new(seed.0 ^ splitmix64(key ^ fnv1a(b"jitter")));
-    let d = LogNormal::with_median(params.jitter_median_ms, params.jitter_sigma);
-    Ms(d.sample(&mut rng))
-}
-
-/// Per-packet last-mile sample for a host profile: the total access-link
-/// contribution to one round trip.
-pub fn last_mile(_params: &NetParams, profile: LastMile, seed: Seed, key: u64) -> Ms {
-    let mut rng = KeyRng::new(seed.0 ^ splitmix64(key ^ fnv1a(b"last-mile")));
-    match profile {
-        LastMile::Negligible => {
-            // Well-connected server: tens of microseconds.
-            let d = LogNormal::with_median(0.08, 0.6);
-            Ms(d.sample(&mut rng))
-        }
-        LastMile::Access { mean_ms } => {
-            // The access line's delay is a per-host constant (DSL
-            // interleaving, DOCSIS scheduling); packets see only a small
-            // multiplicative variation around it. Modelling it per-packet
-            // would let min-of-N wash the last mile out entirely.
-            let variation = LogNormal::new(0.0, 0.12);
-            Ms(mean_ms * variation.sample(&mut rng))
-        }
-    }
-}
-
-/// Per-reply ICMP slow-path delay: the control-plane cost of generating a
-/// TTL-exceeded message. Lognormal with a heavy tail (routers under load
-/// answer late by tens of milliseconds).
-pub fn icmp_slowpath(params: &NetParams, seed: Seed, key: u64) -> Ms {
-    if params.icmp_slowpath_median_ms <= 0.0 {
-        return Ms::ZERO;
-    }
-    let mut rng = KeyRng::new(seed.0 ^ splitmix64(key ^ fnv1a(b"icmp-slowpath")));
-    let d = LogNormal::with_median(params.icmp_slowpath_median_ms, params.icmp_slowpath_sigma);
-    Ms(d.sample(&mut rng))
-}
-
-/// Uniform unit sample from a key (loss and responsiveness decisions).
-pub fn unit_sample(seed: Seed, key: u64, domain: &str) -> f64 {
-    let h = splitmix64(seed.0 ^ splitmix64(key ^ fnv1a(domain.as_bytes())));
-    (h >> 11) as f64 / (1u64 << 53) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::route::synthesize;
+    use crate::{NoiseModel, RouteCache};
     use geo_model::rng::Seed;
+    use world_sim::host::LastMile;
     use world_sim::{World, WorldConfig};
 
     fn world() -> World {
@@ -211,13 +112,17 @@ mod tests {
     fn one_way_delay_exceeds_geodesic_floor() {
         let w = world();
         let p = NetParams::default();
+        let cache = RouteCache::new(&p);
         for i in 0..w.anchors.len().min(10) {
-            let src = w.probes[i];
-            let dst = w.anchors[i];
-            let path = synthesize(&w, &p, Endpoint::Host(src), Endpoint::Host(dst));
-            let delay = one_way_delay(&w, &p, &path).value();
-            let floor =
-                w.host(src).location.distance(&w.host(dst).location).value() / p.km_per_ms();
+            let (src, dst) = (Endpoint::Host(w.probes[i]), Endpoint::Host(w.anchors[i]));
+            let shape = cache.shape(&w, &p, src, dst);
+            let delay = cache.one_way_ms(&w, &p, src, dst, &shape);
+            let floor = w
+                .host(w.probes[i])
+                .location
+                .distance(&w.host(w.anchors[i]).location)
+                .value()
+                / p.km_per_ms();
             assert!(delay >= floor, "delay {delay} under geodesic floor {floor}");
         }
     }
@@ -226,28 +131,26 @@ mod tests {
     fn cumulative_delays_are_monotone() {
         let w = world();
         let p = NetParams::default();
-        let path = synthesize(
-            &w,
-            &p,
-            Endpoint::Host(w.probes[0]),
-            Endpoint::Host(w.anchors[0]),
-        );
-        let cum = cumulative_delays(&w, &p, &path);
-        assert_eq!(cum.len(), path.waypoints.len());
+        let cache = RouteCache::new(&p);
+        let (src, dst) = (Endpoint::Host(w.probes[0]), Endpoint::Host(w.anchors[0]));
+        let shape = cache.shape(&w, &p, src, dst);
+        let mut cum = Vec::new();
+        cache.cumulative_ms(&w, &p, src, &shape, &mut cum);
+        assert_eq!(cum.len(), shape.waypoints().len());
         for win in cum.windows(2) {
             assert!(win[0] < win[1]);
         }
-        let total = one_way_delay(&w, &p, &path);
-        assert!(cum.last().unwrap() < &total);
+        let total = cache.one_way_ms(&w, &p, src, dst, &shape);
+        assert!(cum.last().unwrap().value() < total);
     }
 
     #[test]
     fn jitter_is_positive_and_deterministic() {
-        let p = NetParams::default();
+        let noise = NoiseModel::new(&NetParams::default());
         let s = Seed(5);
-        let a = jitter(&p, s, 1);
-        let b = jitter(&p, s, 1);
-        let c = jitter(&p, s, 2);
+        let a = noise.jitter(s, 1);
+        let b = noise.jitter(s, 1);
+        let c = noise.jitter(s, 2);
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert!(a.value() > 0.0);
@@ -259,19 +162,21 @@ mod tests {
             jitter_median_ms: 0.0,
             ..NetParams::default()
         };
-        assert_eq!(jitter(&p, Seed(5), 1), Ms::ZERO);
+        assert_eq!(NoiseModel::new(&p).jitter(Seed(5), 1), Ms::ZERO);
     }
 
     #[test]
     fn last_mile_profiles_differ() {
-        let p = NetParams::default();
+        let noise = NoiseModel::new(&NetParams::default());
         let s = Seed(6);
         let mut neg_sum = 0.0;
         let mut acc_sum = 0.0;
         let mut acc_min = f64::INFINITY;
         for k in 0..200 {
-            neg_sum += last_mile(&p, LastMile::Negligible, s, k).value();
-            let a = last_mile(&p, LastMile::Access { mean_ms: 4.0 }, s, k).value();
+            neg_sum += noise.last_mile(LastMile::Negligible, s, k).value();
+            let a = noise
+                .last_mile(LastMile::Access { mean_ms: 4.0 }, s, k)
+                .value();
             acc_sum += a;
             acc_min = acc_min.min(a);
         }
@@ -283,12 +188,5 @@ mod tests {
             acc_min > 2.5,
             "min-of-N washed out the last mile: {acc_min}"
         );
-    }
-
-    #[test]
-    fn unit_sample_uniformish() {
-        let s = Seed(7);
-        let mean: f64 = (0..1000).map(|k| unit_sample(s, k, "loss")).sum::<f64>() / 1000.0;
-        assert!((mean - 0.5).abs() < 0.05);
     }
 }

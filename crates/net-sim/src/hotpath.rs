@@ -1,11 +1,13 @@
 //! The memoized measurement hot path: route shapes, link delays and
-//! per-packet noise, bit-identical to the reference implementation.
+//! per-packet noise.
 //!
-//! `measure::base_rtt` is the cost center of every bulk campaign: it
-//! synthesizes two router-level paths and walks them link by link, paying
-//! spherical trigonometry (`Waypoint::location`, haversine) and hash
-//! derivation per link, per call. Almost all of that work repeats across
-//! measurements, because paths are built from a small vocabulary:
+//! The direct way to measure is the reference model this module replays,
+//! kept as the test oracle in `tests/oracle/mod.rs` (`oracle::` below).
+//! Its `oracle::base_rtt` would be the cost center of every bulk campaign:
+//! it synthesizes two router-level paths and walks them link by link,
+//! paying spherical trigonometry (`Waypoint::location`, haversine) and
+//! hash derivation per link, per call. Almost all of that work repeats
+//! across measurements, because paths are built from a small vocabulary:
 //!
 //! - the **first and last links** of any host path depend only on the host
 //!   (its location, its attachment PoP) — one constant per host;
@@ -30,18 +32,18 @@
 //!   hash tables.
 //!
 //! [`RouteCache`] holds exactly those pieces and replays the delay sum
-//! in the *same addition order* as `delay::one_way_delay`, so every f64 is
-//! bit-identical to the unmemoized reference (f64 addition is not
+//! in the *same addition order* as `oracle::one_way_delay`, so every f64
+//! is bit-identical to the unmemoized oracle (f64 addition is not
 //! associative, so caching whole sums per pair would entangle the per-host
 //! access terms; caching the middle addends and re-adding in order is safe).
 //!
 //! [`NoiseModel`] precomputes the per-packet distributions (`ln()` per
-//! lognormal, domain hashes) that `delay::jitter`/`last_mile` re-derive on
-//! every packet. Sampling itself is untouched, so draws are bit-identical.
+//! lognormal, domain hashes) that `oracle::jitter`/`last_mile` re-derive
+//! on every packet. Sampling itself is untouched, so draws are bit-identical.
 //!
 //! `crates/core/tests/hotpath_equivalence.rs` pins the end-to-end outputs
 //! against pre-optimization digests; `tests/hotpath_equivalence.rs` in this
-//! crate checks the fast path against the reference pair by pair.
+//! crate checks the fast path against the oracle pair by pair.
 
 use crate::delay;
 use crate::measure::{self, PingOutcome};
@@ -60,8 +62,8 @@ use world_sim::host::LastMile;
 use world_sim::ids::{AsId, CityId, HostId};
 use world_sim::World;
 
-/// Compile-time domain hashes (the reference path hashes these literals on
-/// every call; see `delay::unit_sample` and friends).
+/// Compile-time domain hashes (the oracle hashes these literals on every
+/// call; see `oracle::unit_sample` and friends).
 const H_LOSS: u64 = fnv1a(b"loss");
 const H_JITTER: u64 = fnv1a(b"jitter");
 const H_LAST_MILE: u64 = fnv1a(b"last-mile");
@@ -102,7 +104,7 @@ impl Hasher for MixHasher {
 
 type MixMap<K, V> = HashMap<K, V, BuildHasherDefault<MixHasher>>;
 
-/// A path's waypoint list on the stack: `route::synthesize` never emits
+/// A path's waypoint list on the stack: `oracle::synthesize` never emits
 /// more than four waypoints, so the shape of a route needs no allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PathShape {
@@ -119,7 +121,7 @@ impl PathShape {
     }
 
     /// Appends a waypoint, dropping consecutive duplicates — the same
-    /// normalization `Vec::dedup` applies in `route::synthesize`.
+    /// normalization `Vec::dedup` applies in `oracle::synthesize`.
     #[inline]
     fn push(&mut self, asn: AsId, city: CityId) {
         let n = self.len as usize;
@@ -195,7 +197,7 @@ impl WpInfo {
     }
 }
 
-/// The middle-link addends of one attach-pair direction: `route::synthesize`
+/// The middle-link addends of one attach-pair direction: `oracle::synthesize`
 /// emits at most four waypoints, so at most three PoP-to-PoP links. Hop
 /// processing is a parameter constant, so only the link delays are
 /// stored; the fold re-interleaves them in the reference order.
@@ -218,7 +220,7 @@ impl DirSeq {
     }
 }
 
-/// The branch `route::synthesize` takes between two attachment PoPs.
+/// The branch `oracle::synthesize` takes between two attachment PoPs.
 enum Plan {
     /// Every waypoint, for the intra-AS and peering branches.
     Shape(PathShape),
@@ -475,7 +477,7 @@ impl RouteCache {
 
     /// The delay of a host's access link (host to its attachment PoP) —
     /// both the first link of every path leaving it and the last link of
-    /// every path reaching it, since `route::synthesize` pins the boundary
+    /// every path reaching it, since `oracle::synthesize` pins the boundary
     /// waypoints to the endpoint attachments.
     // geo-lint: hot-path
     fn access_ms(&self, world: &World, params: &NetParams, id: HostId) -> f64 {
@@ -548,7 +550,7 @@ impl RouteCache {
         }
     }
 
-    /// `route::best_shared_pop`, with PoP membership resolved through the
+    /// `oracle::best_shared_pop`, with PoP membership resolved through the
     /// dense bitset and the detour distances through precomputed city trig.
     /// The scan order (and so the first-minimum tie-break) matches the
     /// reference exactly.
@@ -585,7 +587,7 @@ impl RouteCache {
         best.map(|(c, _)| c)
     }
 
-    /// The branch `route::synthesize` takes between two attachment PoPs,
+    /// The branch `oracle::synthesize` takes between two attachment PoPs,
     /// with the waypoints of every branch but transit.
     // geo-lint: hot-path
     fn plan(
@@ -623,7 +625,7 @@ impl RouteCache {
         Plan::Shape(s)
     }
 
-    /// The waypoint list `route::synthesize` would emit between two
+    /// The waypoint list `oracle::synthesize` would emit between two
     /// attachment PoPs.
     // geo-lint: hot-path
     fn shape_of(
@@ -649,7 +651,7 @@ impl RouteCache {
         }
     }
 
-    /// The waypoint list `route::synthesize` would emit for this pair,
+    /// The waypoint list `oracle::synthesize` would emit for this pair,
     /// computed allocation-free with dense lanes. Property-tested equal
     /// in `tests/hotpath_equivalence.rs`.
     // geo-lint: hot-path
@@ -670,7 +672,7 @@ impl RouteCache {
     /// A transit path's links come from two small key spaces, each read
     /// through a lane: the access link (attach, transit), for both the
     /// uplink and the downlink, and the core link (transit, PoP, PoP).
-    /// The links are those of the shape `route::synthesize` dedups from
+    /// The links are those of the shape `oracle::synthesize` dedups from
     /// `[a, t_in, t_out, b]`: an endpoint attached at the transit's own
     /// nearest PoP merges with it, and `t_out` is pushed only when it
     /// differs from `t_in`. Every slot holds `mid_ms` of exactly its
@@ -728,7 +730,7 @@ impl RouteCache {
 
     /// One-way delay along a shape: the shape's middle links folded
     /// around the two endpoint links, in the exact addition order of
-    /// `delay::one_way_delay`.
+    /// `oracle::one_way_delay`.
     // geo-lint: hot-path
     pub fn one_way_ms(
         &self,
@@ -744,7 +746,7 @@ impl RouteCache {
     }
 
     /// Folds one direction's addends in the reference order of
-    /// `delay::one_way_delay`: the source's endpoint link, then per
+    /// `oracle::one_way_delay`: the source's endpoint link, then per
     /// waypoint (processing, next link), then the far endpoint link.
     // geo-lint: hot-path
     #[inline]
@@ -762,7 +764,7 @@ impl RouteCache {
 
     /// A base RTT from both directions' addends between hosts `a` and
     /// `b`: the forward fold plus the reverse fold, as
-    /// `measure::base_rtt` adds its two one-way delays.
+    /// `oracle::base_rtt` adds its two one-way delays.
     // geo-lint: hot-path
     #[inline]
     fn round_trip(
@@ -777,7 +779,7 @@ impl RouteCache {
     }
 
     /// Base (jitter-free) RTT between two hosts: forward plus reverse
-    /// one-way delay, identical bits to `measure::base_rtt`. Both
+    /// one-way delay, identical bits to `oracle::base_rtt`. Both
     /// directions' addends come from `dir_seq` over the two hosts' attach
     /// indices, as a campaign row's do, so transit links are read from
     /// the link lanes; only a host added after the lane was sized has no
@@ -808,7 +810,7 @@ impl RouteCache {
     }
 
     /// Cumulative delays to each waypoint (traceroute hop timing),
-    /// replaying `delay::cumulative_delays` into a caller-owned buffer.
+    /// replaying `oracle::cumulative_delays` into a caller-owned buffer.
     pub fn cumulative_ms(
         &self,
         world: &World,
@@ -1039,8 +1041,8 @@ fn compute_access_ms(world: &World, params: &NetParams, id: HostId) -> f64 {
     .value()
 }
 
-/// Precomputed per-packet noise distributions. The reference path
-/// (`delay::jitter`, `delay::last_mile`, `delay::icmp_slowpath`)
+/// Precomputed per-packet noise distributions. The oracle
+/// (`oracle::jitter`, `oracle::last_mile`, `oracle::icmp_slowpath`)
 /// reconstructs each lognormal — including an `ln()` — per packet;
 /// the distributions are plain `{mu, sigma}` data, so hoisting them
 /// preserves every sampled bit.
@@ -1074,7 +1076,7 @@ impl NoiseModel {
         }
     }
 
-    /// `delay::unit_sample` with a precomputed domain hash.
+    /// `oracle::unit_sample` with a precomputed domain hash.
     // geo-lint: hot-path
     #[inline]
     fn unit(seed: Seed, key: u64, domain_hash: u64) -> f64 {
@@ -1082,7 +1084,7 @@ impl NoiseModel {
         (h >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// Per-packet jitter (bit-identical to `delay::jitter`).
+    /// Per-packet jitter (bit-identical to `oracle::jitter`).
     // geo-lint: hot-path
     pub fn jitter(&self, seed: Seed, key: u64) -> Ms {
         match &self.jitter {
@@ -1094,7 +1096,7 @@ impl NoiseModel {
         }
     }
 
-    /// Per-reply ICMP slow-path delay (`delay::icmp_slowpath`).
+    /// Per-reply ICMP slow-path delay (`oracle::icmp_slowpath`).
     // geo-lint: hot-path
     pub fn icmp_slowpath(&self, seed: Seed, key: u64) -> Ms {
         match &self.icmp {
@@ -1106,7 +1108,7 @@ impl NoiseModel {
         }
     }
 
-    /// Per-packet last-mile sample (`delay::last_mile`).
+    /// Per-packet last-mile sample (`oracle::last_mile`).
     // geo-lint: hot-path
     pub fn last_mile(&self, profile: LastMile, seed: Seed, key: u64) -> Ms {
         let mut rng = KeyRng::new(seed.0 ^ splitmix64(key ^ H_LAST_MILE));
@@ -1116,7 +1118,7 @@ impl NoiseModel {
         }
     }
 
-    /// Whether a traceroute hop answers (`delay::unit_sample` gate).
+    /// Whether a traceroute hop answers (`oracle::unit_sample` gate).
     // geo-lint: hot-path
     pub fn hop_responds(&self, seed: Seed, hop_key: u64) -> bool {
         NoiseModel::unit(seed, hop_key, H_HOP_RESPONDS) >= self.hop_unresponsive_rate
@@ -1124,7 +1126,7 @@ impl NoiseModel {
 
     /// One packet's outcome on top of a known base RTT, with the endpoint
     /// last-mile profiles hoisted out of the per-packet loop
-    /// (`measure::packet_outcome` re-reads them per packet; the values are
+    /// (`oracle::packet_outcome` re-reads them per packet; the values are
     /// per-host constants).
     // geo-lint: hot-path
     pub fn packet(
@@ -1144,7 +1146,7 @@ impl NoiseModel {
         PingOutcome::Reply(base + src_lm + dst_lm + j)
     }
 
-    /// Minimum RTT over `count` packets (`measure::ping_min_with_base`).
+    /// Minimum RTT over `count` packets (`oracle::ping_min_with_base`).
     // geo-lint: hot-path
     #[allow(clippy::too_many_arguments)]
     pub fn ping_min(

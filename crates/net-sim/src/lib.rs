@@ -26,7 +26,10 @@
 //!   (seed, src, dst, nonce): reruns are bit-identical, and independent
 //!   experiments can share one simulator without interference.
 //!
-//! Entry point: [`Network`].
+//! Entry point: [`Network`]. Every measurement runs through its memoized
+//! hot path ([`hotpath`]); the direct reference model it replays bit for
+//! bit lives in `tests/oracle/mod.rs`, as the oracle of the equivalence
+//! suite `tests/hotpath_equivalence.rs`.
 
 pub mod cache;
 pub mod delay;
@@ -39,7 +42,7 @@ pub use cache::{BaseDelayCache, CacheStats};
 pub use hotpath::{NoiseModel, PathShape, RouteCache, RowScratch, TargetLane};
 pub use measure::{Hop, PingOutcome, Traceroute};
 pub use params::NetParams;
-pub use route::{Endpoint, Path, Waypoint};
+pub use route::{Endpoint, Waypoint};
 
 use geo_model::ip::Ipv4;
 use geo_model::matrix::{Cell, Matrix};
@@ -104,21 +107,13 @@ impl Network {
     /// The deterministic (jitter-free, last-mile-free) round-trip time
     /// between two hosts: forward one-way plus reverse one-way delay, as
     /// [`RouteCache::base_rtt_ms`] derives it. Memoized per unordered
-    /// endpoint pair in the shared [`BaseDelayCache`]; [`Network::ping`]
-    /// and the traceroute's destination ping read it.
-    /// [`Network::ping_min`] and campaign rows compute the same bits
-    /// without the cache.
+    /// endpoint pair in the shared [`BaseDelayCache`]; the traceroute's
+    /// destination ping reads it. [`Network::ping_min`] and campaign rows
+    /// compute the same bits without the cache.
     pub fn base_rtt(&self, world: &World, src: HostId, dst: HostId) -> Ms {
         Ms(self.cache.get_or_compute(src, dst, || {
             self.routes.base_rtt_ms(world, &self.params, src, dst)
         }))
-    }
-
-    /// [`Network::base_rtt`] bypassing the cache: recomputes the full
-    /// router-level path synthesis. Used by the equivalence property test
-    /// and the cold-cache benchmarks.
-    pub fn base_rtt_uncached(&self, world: &World, src: HostId, dst: HostId) -> Ms {
-        measure::base_rtt(world, &self.params, src, dst)
     }
 
     /// Hit/miss counters and size of the shared base-delay cache.
@@ -130,23 +125,6 @@ impl Network {
     /// benchmarks; never needed for correctness).
     pub fn clear_cache(&self) {
         self.cache.clear();
-    }
-
-    /// One ping packet from `src` to the address `dst`. Deterministic in
-    /// `(seed, src, dst, nonce)`.
-    pub fn ping(&self, world: &World, src: HostId, dst: Ipv4, nonce: u64) -> PingOutcome {
-        let Some(dst_host) = world.host_by_ip(dst) else {
-            return PingOutcome::Timeout;
-        };
-        let base = self.base_rtt(world, src, dst_host.id);
-        let key = measure::measurement_key(src, dst, nonce);
-        self.noise.packet(
-            self.seed,
-            world.host(src).last_mile,
-            dst_host.last_mile,
-            base,
-            key,
-        )
     }
 
     /// The minimum RTT over `count` ping packets — how latency geolocation
@@ -286,9 +264,13 @@ impl Network {
         )
     }
 
-    /// A traceroute from `src` to the address `dst`. Same semantics as
-    /// [`measure::traceroute`], with the forward path, per-hop reverse
-    /// paths and noise resolved through the shared caches.
+    /// A traceroute from `src` to the address `dst`: per hop on the
+    /// forward path, the cumulative forward delay plus the delay of the
+    /// reverse path from that hop, the source's last mile, jitter and the
+    /// ICMP slow path. Paths and delays come from the route cache, the
+    /// destination's answer is one ping packet on [`Network::base_rtt`].
+    /// The oracle's `traceroute` in `tests/oracle/mod.rs` derives the same
+    /// bits the direct way.
     pub fn traceroute(&self, world: &World, src: HostId, dst: Ipv4, nonce: u64) -> Traceroute {
         let dst_host = world.host_by_ip(dst);
         let key = measure::measurement_key(src, dst, splitmix64(nonce ^ hotpath::H_TRACEROUTE));
@@ -318,8 +300,8 @@ impl Network {
             &fwd,
             &mut cumulative,
         );
-        // The reference samples the source last mile with the same key for
-        // every hop; one sample serves all of them.
+        // Every hop draws the source last mile with the same key; one
+        // sample serves all of them.
         let src_lm = self
             .noise
             .last_mile(world.host(src).last_mile, self.seed, key ^ 0x17);

@@ -1,20 +1,18 @@
-//! Measurement primitives: ping and traceroute.
+//! Measurement results: ping outcomes and traceroutes.
 //!
-//! A ping's RTT composes the forward and reverse one-way path delays with
-//! both endpoints' last-mile contributions and a per-packet jitter. A
-//! traceroute reports, for each hop on the *forward* path, the cumulative
-//! forward delay plus the delay of the *reverse path from that hop* — the
-//! destination-based-routing semantics that Appendix B of the replication
-//! identifies as the reason `D1 + D2` cannot be computed reliably.
+//! [`Network`](crate::Network) produces them. A ping's RTT composes the
+//! forward and reverse one-way path delays with both endpoints' last-mile
+//! contributions and a per-packet jitter. A traceroute reports, for each
+//! hop on the *forward* path, the cumulative forward delay plus the delay
+//! of the *reverse path from that hop* — the destination-based-routing
+//! semantics that Appendix B of the replication identifies as the reason
+//! `D1 + D2` cannot be computed reliably.
 
-use crate::delay;
-use crate::params::NetParams;
-use crate::route::{synthesize, Endpoint, Waypoint};
+use crate::route::Waypoint;
 use geo_model::ip::Ipv4;
-use geo_model::rng::{fnv1a, splitmix64, Seed};
+use geo_model::rng::{fnv1a, splitmix64};
 use geo_model::units::Ms;
 use world_sim::ids::HostId;
-use world_sim::World;
 
 /// Outcome of one ping.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,216 +80,26 @@ pub(crate) fn measurement_key(src: HostId, dst: Ipv4, nonce: u64) -> u64 {
     splitmix64((src.0 as u64) << 32 ^ dst.0 as u64 ^ splitmix64(nonce ^ fnv1a(b"measurement")))
 }
 
-/// Deterministic round-trip time between two hosts: forward plus reverse
-/// one-way delay, no jitter, loss or last-mile. The bulk-cacheable part.
-pub fn base_rtt(world: &World, params: &NetParams, src: HostId, dst: HostId) -> Ms {
-    let fwd = synthesize(world, params, Endpoint::Host(src), Endpoint::Host(dst));
-    let rev = synthesize(world, params, Endpoint::Host(dst), Endpoint::Host(src));
-    delay::one_way_delay(world, params, &fwd) + delay::one_way_delay(world, params, &rev)
-}
-
-/// The per-packet noise on top of a known base RTT: loss decision, both
-/// last-mile samples, and jitter.
-fn packet_outcome(
-    world: &World,
-    params: &NetParams,
-    seed: Seed,
-    src: HostId,
-    dst_host: HostId,
-    base: Ms,
-    key: u64,
-) -> PingOutcome {
-    if delay::unit_sample(seed, key, "loss") < params.loss_rate {
-        return PingOutcome::Timeout;
-    }
-    let src_lm = delay::last_mile(params, world.host(src).last_mile, seed, key ^ 0x51);
-    let dst_lm = delay::last_mile(params, world.host(dst_host).last_mile, seed, key ^ 0xD5);
-    let j = delay::jitter(params, seed, key);
-    PingOutcome::Reply(base + src_lm + dst_lm + j)
-}
-
-/// One ping packet.
-pub fn ping(
-    world: &World,
-    params: &NetParams,
-    seed: Seed,
-    src: HostId,
-    dst: Ipv4,
-    nonce: u64,
-) -> PingOutcome {
-    let Some(dst_host) = world.host_by_ip(dst) else {
-        return PingOutcome::Timeout;
-    };
-    let base = base_rtt(world, params, src, dst_host.id);
-    ping_with_base(world, params, seed, src, dst, dst_host.id, base, nonce)
-}
-
-/// [`ping`] with a precomputed base RTT — the cached fast path.
-#[allow(clippy::too_many_arguments)]
-pub fn ping_with_base(
-    world: &World,
-    params: &NetParams,
-    seed: Seed,
-    src: HostId,
-    dst: Ipv4,
-    dst_host: HostId,
-    base: Ms,
-    nonce: u64,
-) -> PingOutcome {
-    let key = measurement_key(src, dst, nonce);
-    packet_outcome(world, params, seed, src, dst_host, base, key)
-}
-
-/// Minimum RTT over `count` packets (RIPE Atlas ping semantics). The
-/// deterministic base RTT is computed once; only the noise varies per
-/// packet.
-pub fn ping_min(
-    world: &World,
-    params: &NetParams,
-    seed: Seed,
-    src: HostId,
-    dst: Ipv4,
-    count: usize,
-    nonce: u64,
-) -> PingOutcome {
-    let Some(dst_host) = world.host_by_ip(dst) else {
-        return PingOutcome::Timeout;
-    };
-    let dst_id = dst_host.id;
-    let base = base_rtt(world, params, src, dst_id);
-    ping_min_with_base(world, params, seed, src, dst, dst_id, base, count, nonce)
-}
-
-/// [`ping_min`] with a precomputed base RTT — the bulk-campaign fast path.
-#[allow(clippy::too_many_arguments)]
-pub fn ping_min_with_base(
-    world: &World,
-    params: &NetParams,
-    seed: Seed,
-    src: HostId,
-    dst: Ipv4,
-    dst_host: HostId,
-    base: Ms,
-    count: usize,
-    nonce: u64,
-) -> PingOutcome {
-    let mut best: Option<Ms> = None;
-    for i in 0..count {
-        let key = measurement_key(src, dst, splitmix64(nonce ^ i as u64));
-        if let PingOutcome::Reply(ms) =
-            packet_outcome(world, params, seed, src, dst_host, base, key)
-        {
-            best = Some(match best {
-                Some(b) => b.min(ms),
-                None => ms,
-            });
-        }
-    }
-    match best {
-        Some(ms) => PingOutcome::Reply(ms),
-        None => PingOutcome::Timeout,
-    }
-}
-
-/// A traceroute from `src` to `dst`.
-pub fn traceroute(
-    world: &World,
-    params: &NetParams,
-    seed: Seed,
-    src: HostId,
-    dst: Ipv4,
-    nonce: u64,
-) -> Traceroute {
-    let dst_host = world.host_by_ip(dst);
-    let key = measurement_key(src, dst, splitmix64(nonce ^ fnv1a(b"traceroute")));
-
-    // Forward path: to the host if it exists, else toward the prefix's PoP
-    // (the route exists even when the address does not answer).
-    let fwd_dst = match dst_host {
-        Some(h) => Endpoint::Host(h.id),
-        None => match world.plan.owner(dst.prefix24()) {
-            Some((asn, city)) => Endpoint::Router(asn, city),
-            None => {
-                // Unrouted address: no hops at all.
-                return Traceroute {
-                    src,
-                    dst,
-                    hops: Vec::new(),
-                    dst_rtt: None,
-                };
-            }
-        },
-    };
-    let fwd = synthesize(world, params, Endpoint::Host(src), fwd_dst);
-    let cumulative = delay::cumulative_delays(world, params, &fwd);
-    let src_lm_key = key ^ 0x17;
-
-    let mut hops = Vec::with_capacity(fwd.waypoints.len());
-    for (i, wp) in fwd.waypoints.iter().enumerate() {
-        let hop_key = splitmix64(key ^ (i as u64 + 1));
-        let responds =
-            delay::unit_sample(seed, hop_key, "hop-responds") >= params.hop_unresponsive_rate;
-        let rtt = if responds {
-            // Reverse path *from this router* to the source.
-            let rev = synthesize(
-                world,
-                params,
-                Endpoint::Router(wp.asn, wp.city),
-                Endpoint::Host(src),
-            );
-            let rev_delay = delay::one_way_delay(world, params, &rev);
-            let j = delay::jitter(params, seed, hop_key);
-            let lm = delay::last_mile(params, world.host(src).last_mile, seed, src_lm_key);
-            let slowpath = delay::icmp_slowpath(params, seed, hop_key);
-            Some(cumulative[i] + rev_delay + j + lm + slowpath)
-        } else {
-            None
-        };
-        hops.push(Hop { waypoint: *wp, rtt });
-    }
-
-    let dst_rtt = match dst_host {
-        Some(h) => ping(world, params, seed, src, dst, splitmix64(nonce ^ 0xF1))
-            .rtt()
-            .inspect(|_ms| {
-                let _ = h;
-            }),
-        None => None,
-    };
-
-    Traceroute {
-        src,
-        dst,
-        hops,
-        dst_rtt,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::route::Endpoint;
+    use crate::{Network, RouteCache};
+    use geo_model::rng::Seed;
     use geo_model::soi::SpeedOfInternet;
     use world_sim::{World, WorldConfig};
 
-    fn setup() -> (World, NetParams, Seed) {
+    fn setup() -> (World, Network) {
         let w = World::generate(WorldConfig::small(Seed(101))).unwrap();
-        (w, NetParams::default(), Seed(101))
-    }
-
-    #[test]
-    fn ping_replies_are_deterministic() {
-        let (w, p, s) = setup();
-        let src = w.probes[0];
-        let dst = w.host(w.anchors[0]).ip;
-        assert_eq!(ping(&w, &p, s, src, dst, 1), ping(&w, &p, s, src, dst, 1));
+        (w, Network::new(Seed(101)))
     }
 
     #[test]
     fn ping_to_unknown_address_times_out() {
-        let (w, p, s) = setup();
+        let (w, net) = setup();
         let src = w.probes[0];
         assert_eq!(
-            ping(&w, &p, s, src, Ipv4::from_octets(240, 0, 0, 1), 1),
+            net.ping_min(&w, src, Ipv4::from_octets(240, 0, 0, 1), 1, 1),
             PingOutcome::Timeout
         );
     }
@@ -299,13 +107,13 @@ mod tests {
     #[test]
     fn rtt_never_violates_speed_of_internet() {
         // The foundation of CBG soundness at 2/3 c.
-        let (w, p, s) = setup();
+        let (w, net) = setup();
         let soi = SpeedOfInternet::CBG;
         for i in 0..w.probes.len().min(40) {
             for j in 0..w.anchors.len().min(10) {
                 let src = w.probes[i];
                 let dst_host = w.host(w.anchors[j]);
-                if let PingOutcome::Reply(rtt) = ping(&w, &p, s, src, dst_host.ip, 3) {
+                if let PingOutcome::Reply(rtt) = net.ping_min(&w, src, dst_host.ip, 1, 3) {
                     let dist = w.host(src).location.distance(&dst_host.location);
                     assert!(!soi.violates(dist, rtt), "SOI violation: {dist} in {rtt}");
                 }
@@ -313,14 +121,16 @@ mod tests {
         }
     }
 
+    /// Packet `i` of a `ping_min` with nonce `n` is the one-packet
+    /// `ping_min` with nonce `n ^ i`.
     #[test]
     fn ping_min_improves_on_singles() {
-        let (w, p, s) = setup();
+        let (w, net) = setup();
         let src = w.probes[1];
         let dst = w.host(w.anchors[1]).ip;
-        if let PingOutcome::Reply(min) = ping_min(&w, &p, s, src, dst, 5, 7) {
+        if let PingOutcome::Reply(min) = net.ping_min(&w, src, dst, 5, 7) {
             for i in 0..5u64 {
-                if let PingOutcome::Reply(one) = ping(&w, &p, s, src, dst, splitmix64(7 ^ i)) {
+                if let PingOutcome::Reply(one) = net.ping_min(&w, src, dst, 1, 7 ^ i) {
                     assert!(min <= one);
                 }
             }
@@ -331,7 +141,7 @@ mod tests {
 
     #[test]
     fn close_pairs_have_small_rtt() {
-        let (w, p, s) = setup();
+        let (w, net) = setup();
         // Find a probe/anchor pair in the same city.
         let pair = w.probes.iter().find_map(|&pid| {
             let ph = w.host(pid);
@@ -341,7 +151,7 @@ mod tests {
             })
         });
         if let Some((src, dst)) = pair {
-            if let PingOutcome::Reply(rtt) = ping_min(&w, &p, s, src, dst, 3, 1) {
+            if let PingOutcome::Reply(rtt) = net.ping_min(&w, src, dst, 3, 1) {
                 assert!(
                     rtt.value() < 25.0,
                     "same-city RTT suspiciously large: {rtt}"
@@ -352,46 +162,51 @@ mod tests {
 
     #[test]
     fn traceroute_hops_match_forward_path() {
-        let (w, p, s) = setup();
+        let (w, net) = setup();
         let src = w.probes[2];
         let dst_host = w.host(w.anchors[2]);
-        let tr = traceroute(&w, &p, s, src, dst_host.ip, 1);
+        let tr = net.traceroute(&w, src, dst_host.ip, 1);
         assert!(!tr.hops.is_empty());
-        let fwd = synthesize(&w, &p, Endpoint::Host(src), Endpoint::Host(dst_host.id));
-        assert_eq!(tr.hops.len(), fwd.waypoints.len());
-        for (hop, wp) in tr.hops.iter().zip(&fwd.waypoints) {
-            assert_eq!(hop.waypoint, *wp);
+        let fwd = RouteCache::new(net.params()).shape(
+            &w,
+            net.params(),
+            Endpoint::Host(src),
+            Endpoint::Host(dst_host.id),
+        );
+        assert_eq!(tr.hops.len(), fwd.waypoints().len());
+        for (hop, &(asn, city)) in tr.hops.iter().zip(fwd.waypoints()) {
+            assert_eq!(hop.waypoint, Waypoint { asn, city });
         }
         assert!(tr.reached());
     }
 
     #[test]
     fn traceroute_to_unrouted_prefix_is_empty() {
-        let (w, p, s) = setup();
-        let tr = traceroute(&w, &p, s, w.probes[0], Ipv4::from_octets(250, 1, 2, 3), 1);
+        let (w, net) = setup();
+        let tr = net.traceroute(&w, w.probes[0], Ipv4::from_octets(250, 1, 2, 3), 1);
         assert!(tr.hops.is_empty());
         assert!(!tr.reached());
     }
 
     #[test]
     fn traceroute_to_unresponsive_address_still_has_hops() {
-        let (w, p, s) = setup();
+        let (w, net) = setup();
         // An address inside an allocated prefix with no host behind it.
         let anchor = w.host(w.anchors[0]);
         let ghost = anchor.ip.prefix24().host(251);
         assert!(w.host_by_ip(ghost).is_none());
-        let tr = traceroute(&w, &p, s, w.probes[0], ghost, 1);
+        let tr = net.traceroute(&w, w.probes[0], ghost, 1);
         assert!(!tr.hops.is_empty());
         assert!(!tr.reached());
     }
 
     #[test]
     fn some_hops_are_unresponsive() {
-        let (w, p, s) = setup();
+        let (w, net) = setup();
         let mut answered = 0;
         let mut silent = 0;
         for i in 0..w.probes.len().min(60) {
-            let tr = traceroute(&w, &p, s, w.probes[i], w.host(w.anchors[0]).ip, 1);
+            let tr = net.traceroute(&w, w.probes[i], w.host(w.anchors[0]).ip, 1);
             for h in &tr.hops {
                 if h.rtt.is_some() {
                     answered += 1;
@@ -406,12 +221,12 @@ mod tests {
 
     #[test]
     fn last_common_hop_detection() {
-        let (w, p, s) = setup();
+        let (w, net) = setup();
         let src = w.probes[3];
         // Two anchors in the same city share most of the path from a
         // distant probe.
-        let t1 = traceroute(&w, &p, s, src, w.host(w.anchors[0]).ip, 1);
-        let t2 = traceroute(&w, &p, s, src, w.host(w.anchors[1]).ip, 1);
+        let t1 = net.traceroute(&w, src, w.host(w.anchors[0]).ip, 1);
+        let t2 = net.traceroute(&w, src, w.host(w.anchors[1]).ip, 1);
         if let Some((i, wp)) = t1.last_common_hop(&t2) {
             assert!(i < t1.hops.len());
             assert!(t2.hops.iter().any(|h| h.waypoint == wp));

@@ -1,14 +1,17 @@
-//! Path synthesis: deterministic router-level paths over the AS topology.
+//! Routing vocabulary: path endpoints, router waypoints, and the transit
+//! choice.
 //!
-//! Rather than running a global routing protocol, paths are synthesized
-//! per-pair with the decision rules that shape real interdomain paths:
+//! Rather than running a global routing protocol,
+//! [`RouteCache`](crate::RouteCache) synthesizes paths per pair with the
+//! decision rules that shape real interdomain paths:
 //!
 //! 1. intra-AS traffic rides the AS backbone between its PoPs;
 //! 2. if the two ASes share a city, they peer there — preferring a handoff
 //!    near the *source* (hot-potato);
 //! 3. otherwise traffic goes through a transit AS whose identity depends on
-//!    the ordered (src-AS, dst-AS) pair, entering at the transit PoP
-//!    nearest the source and leaving at the PoP nearest the destination.
+//!    the ordered (src-AS, dst-AS) pair ([`pick_transit`]), entering at the
+//!    transit PoP nearest the source and leaving at the PoP nearest the
+//!    destination.
 //!
 //! Rule 3's direction dependence is what produces asymmetric forward and
 //! reverse paths — the noise source behind the street-level paper's
@@ -53,159 +56,6 @@ impl Waypoint {
     }
 }
 
-/// A synthesized one-way path: source endpoint, the router waypoints in
-/// order, and the destination endpoint.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Path {
-    /// Source endpoint.
-    pub src: Endpoint,
-    /// Router waypoints from source side to destination side.
-    pub waypoints: Vec<Waypoint>,
-    /// Destination endpoint.
-    pub dst: Endpoint,
-}
-
-impl Path {
-    /// Number of router hops.
-    pub fn len(&self) -> usize {
-        self.waypoints.len()
-    }
-
-    /// True if there are no router hops (src and dst co-located).
-    pub fn is_empty(&self) -> bool {
-        self.waypoints.is_empty()
-    }
-}
-
-/// Resolves an endpoint's attachment PoP and physical location.
-fn attachment(world: &World, ep: Endpoint) -> (AsId, CityId, GeoPoint) {
-    match ep {
-        Endpoint::Host(id) => {
-            let h = world.host(id);
-            (h.asn, h.city, h.location)
-        }
-        Endpoint::Router(asn, city) => {
-            let wp = Waypoint { asn, city };
-            (asn, city, wp.location(world))
-        }
-    }
-}
-
-/// Synthesizes the forward path from `src` to `dst`.
-pub fn synthesize(world: &World, _params: &NetParams, src: Endpoint, dst: Endpoint) -> Path {
-    let (src_as, src_city, _) = attachment(world, src);
-    let (dst_as, dst_city, _) = attachment(world, dst);
-
-    let mut waypoints: Vec<Waypoint> = Vec::with_capacity(6);
-    waypoints.push(Waypoint {
-        asn: src_as,
-        city: src_city,
-    });
-
-    if src_as == dst_as {
-        // Intra-AS backbone hop.
-        waypoints.push(Waypoint {
-            asn: src_as,
-            city: dst_city,
-        });
-    } else if world.has_pop(dst_as, src_city) {
-        // Peer in the source city (hot-potato: hand off immediately).
-        waypoints.push(Waypoint {
-            asn: dst_as,
-            city: src_city,
-        });
-        waypoints.push(Waypoint {
-            asn: dst_as,
-            city: dst_city,
-        });
-    } else if world.has_pop(src_as, dst_city) {
-        // Source AS reaches into the destination city.
-        waypoints.push(Waypoint {
-            asn: src_as,
-            city: dst_city,
-        });
-        waypoints.push(Waypoint {
-            asn: dst_as,
-            city: dst_city,
-        });
-    } else if let Some(meet) = best_shared_pop(world, src_as, dst_as, src_city, dst_city) {
-        // Private peering at a shared PoP city.
-        waypoints.push(Waypoint {
-            asn: src_as,
-            city: meet,
-        });
-        waypoints.push(Waypoint {
-            asn: dst_as,
-            city: meet,
-        });
-        waypoints.push(Waypoint {
-            asn: dst_as,
-            city: dst_city,
-        });
-    } else {
-        // Transit. Direction-dependent provider choice.
-        let transit = pick_transit(world, _params, src_as, dst_as);
-        let t_in = world.nearest_pop(transit, src_city);
-        let t_out = world.nearest_pop(transit, dst_city);
-        waypoints.push(Waypoint {
-            asn: transit,
-            city: t_in,
-        });
-        if t_out != t_in {
-            waypoints.push(Waypoint {
-                asn: transit,
-                city: t_out,
-            });
-        }
-        waypoints.push(Waypoint {
-            asn: dst_as,
-            city: dst_city,
-        });
-    }
-
-    dedup_consecutive(&mut waypoints);
-    Path {
-        src,
-        waypoints,
-        dst,
-    }
-}
-
-fn dedup_consecutive(waypoints: &mut Vec<Waypoint>) {
-    waypoints.dedup();
-}
-
-/// The shared PoP city minimizing the detour `src_city -> X -> dst_city`,
-/// if the two ASes share any.
-fn best_shared_pop(
-    world: &World,
-    a: AsId,
-    b: AsId,
-    src_city: CityId,
-    dst_city: CityId,
-) -> Option<CityId> {
-    // Scan the smaller footprint, membership-test against the other.
-    let (scan, other) = if world.asn(a).pops.len() <= world.asn(b).pops.len() {
-        (a, b)
-    } else {
-        (b, a)
-    };
-    let src_p = world.city(src_city).center;
-    let dst_p = world.city(dst_city).center;
-    let mut best: Option<(CityId, f64)> = None;
-    for &c in &world.asn(scan).pops {
-        if !world.has_pop(other, c) {
-            continue;
-        }
-        let p = world.city(c).center;
-        let detour = src_p.distance(&p).value() + p.distance(&dst_p).value();
-        if best.is_none_or(|(_, d)| detour < d) {
-            best = Some((c, detour));
-        }
-    }
-    best.map(|(c, _)| c)
-}
-
 /// Picks the transit provider for the ordered (src, dst) AS pair.
 ///
 /// Hot-potato reality: the *source* AS hands traffic to one of its own
@@ -244,6 +94,7 @@ pub fn pick_transit(world: &World, params: &NetParams, src_as: AsId, dst_as: AsI
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RouteCache;
     use geo_model::rng::Seed;
     use world_sim::WorldConfig;
 
@@ -257,31 +108,34 @@ mod tests {
         let p = NetParams::default();
         let src = w.anchors[0];
         let dst = w.anchors[1];
-        let path = synthesize(&w, &p, Endpoint::Host(src), Endpoint::Host(dst));
-        assert!(!path.waypoints.is_empty());
-        let first = path.waypoints.first().unwrap();
-        let last = path.waypoints.last().unwrap();
-        assert_eq!(first.asn, w.host(src).asn);
-        assert_eq!(first.city, w.host(src).city);
-        assert_eq!(last.city, w.host(dst).city);
+        let shape = RouteCache::new(&p).shape(&w, &p, Endpoint::Host(src), Endpoint::Host(dst));
+        let wps = shape.waypoints();
+        assert!(!wps.is_empty());
+        let first = wps.first().unwrap();
+        let last = wps.last().unwrap();
+        assert_eq!(first.0, w.host(src).asn);
+        assert_eq!(first.1, w.host(src).city);
+        assert_eq!(last.1, w.host(dst).city);
     }
 
     #[test]
     fn no_consecutive_duplicate_waypoints() {
         let w = world();
         let p = NetParams::default();
+        let cache = RouteCache::new(&p);
         for i in 0..w.anchors.len().min(10) {
             for j in 0..w.probes.len().min(10) {
-                let path = synthesize(
+                let shape = cache.shape(
                     &w,
                     &p,
                     Endpoint::Host(w.probes[j]),
                     Endpoint::Host(w.anchors[i]),
                 );
-                for win in path.waypoints.windows(2) {
+                for win in shape.waypoints().windows(2) {
                     assert_ne!(win[0], win[1]);
                 }
-                assert!(path.len() <= 6, "path too long: {}", path.len());
+                let len = shape.waypoints().len();
+                assert!(len <= 6, "path too long: {len}");
             }
         }
     }
@@ -290,26 +144,28 @@ mod tests {
     fn same_host_pair_same_path() {
         let w = world();
         let p = NetParams::default();
+        let cache = RouteCache::new(&p);
         let a = Endpoint::Host(w.anchors[0]);
         let b = Endpoint::Host(w.probes[0]);
-        assert_eq!(synthesize(&w, &p, a, b), synthesize(&w, &p, a, b));
+        assert_eq!(cache.shape(&w, &p, a, b), cache.shape(&w, &p, a, b));
     }
 
     #[test]
     fn reverse_paths_can_differ() {
         let w = world();
         let p = NetParams::default();
+        let cache = RouteCache::new(&p);
         let mut asymmetric = 0;
         let mut total = 0;
         for i in 0..w.anchors.len() {
             for j in 0..w.probes.len().min(20) {
                 let a = Endpoint::Host(w.anchors[i]);
                 let b = Endpoint::Host(w.probes[j]);
-                let fwd = synthesize(&w, &p, a, b);
-                let mut rev = synthesize(&w, &p, b, a);
-                rev.waypoints.reverse();
+                let fwd = cache.shape(&w, &p, a, b);
+                let mut rev = cache.shape(&w, &p, b, a).waypoints().to_vec();
+                rev.reverse();
                 total += 1;
-                if fwd.waypoints != rev.waypoints {
+                if fwd.waypoints() != rev {
                     asymmetric += 1;
                 }
             }

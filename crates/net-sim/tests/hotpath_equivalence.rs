@@ -1,15 +1,17 @@
 //! Pair-by-pair bit-equivalence of the memoized hot path
-//! ([`net_sim::hotpath`]) against the reference implementation
-//! (`route::synthesize` + `delay::one_way_delay` + per-packet noise).
+//! ([`net_sim::hotpath`]) against the reference model in `oracle/mod.rs`
+//! (`oracle::synthesize` + `oracle::one_way_delay` + per-packet noise).
 //!
 //! The end-to-end digests live in `crates/core/tests/hotpath_equivalence.rs`;
 //! this test localizes any drift to the exact primitive that diverged.
 
+mod oracle;
+
 use geo_model::matrix::DelayMatrix;
 use geo_model::rng::{splitmix64, Seed};
-use net_sim::measure;
-use net_sim::route::{synthesize, Endpoint};
-use net_sim::{delay, Network, NoiseModel, PingOutcome, RouteCache, RowScratch};
+use net_sim::route::Endpoint;
+use net_sim::{Network, NoiseModel, PingOutcome, RouteCache, RowScratch};
+use proptest::prelude::*;
 use world_sim::ids::HostId;
 use world_sim::{World, WorldConfig};
 
@@ -29,7 +31,7 @@ fn shapes_match_synthesize() {
             let src = Endpoint::Host(w.probes[i]);
             let dst = Endpoint::Host(w.anchors[j]);
             for (a, b) in [(src, dst), (dst, src)] {
-                let slow = synthesize(&w, net.params(), a, b);
+                let slow = oracle::synthesize(&w, net.params(), a, b);
                 let fast = cache.shape(&w, net.params(), a, b);
                 let slow_wps: Vec<_> = slow.waypoints.iter().map(|wp| (wp.asn, wp.city)).collect();
                 assert_eq!(fast.waypoints(), &slow_wps[..], "{a:?} -> {b:?}");
@@ -38,7 +40,7 @@ fn shapes_match_synthesize() {
             // Router-sourced reverse paths (traceroute semantics).
             let h = w.host(w.anchors[j]);
             let router = Endpoint::Router(h.asn, h.city);
-            let slow = synthesize(&w, net.params(), router, src);
+            let slow = oracle::synthesize(&w, net.params(), router, src);
             let fast = cache.shape(&w, net.params(), router, src);
             let slow_wps: Vec<_> = slow.waypoints.iter().map(|wp| (wp.asn, wp.city)).collect();
             assert_eq!(fast.waypoints(), &slow_wps[..], "{router:?} -> {src:?}");
@@ -59,7 +61,7 @@ fn one_way_and_base_rtt_bits_match() {
         // Full base RTT, both through a cold cache and replayed warm.
         for _ in 0..2 {
             let fast = cache.base_rtt_ms(&w, net.params(), src, dst);
-            let slow = measure::base_rtt(&w, net.params(), src, dst).value();
+            let slow = oracle::base_rtt(&w, net.params(), src, dst).value();
             assert_eq!(
                 fast.to_bits(),
                 slow.to_bits(),
@@ -73,8 +75,12 @@ fn one_way_and_base_rtt_bits_match() {
         ] {
             let shape = cache.shape(&w, net.params(), a, b);
             let fast = cache.one_way_ms(&w, net.params(), a, b, &shape);
-            let slow =
-                delay::one_way_delay(&w, net.params(), &synthesize(&w, net.params(), a, b)).value();
+            let slow = oracle::one_way_delay(
+                &w,
+                net.params(),
+                &oracle::synthesize(&w, net.params(), a, b),
+            )
+            .value();
             assert_eq!(fast.to_bits(), slow.to_bits());
         }
         // Router-sourced one-way delay (reverse path from a hop).
@@ -82,10 +88,10 @@ fn one_way_and_base_rtt_bits_match() {
         let rev_src = Endpoint::Router(h.asn, h.city);
         let shape = cache.shape(&w, net.params(), rev_src, Endpoint::Host(src));
         let fast = cache.one_way_ms(&w, net.params(), rev_src, Endpoint::Host(src), &shape);
-        let slow = delay::one_way_delay(
+        let slow = oracle::one_way_delay(
             &w,
             net.params(),
-            &synthesize(&w, net.params(), rev_src, Endpoint::Host(src)),
+            &oracle::synthesize(&w, net.params(), rev_src, Endpoint::Host(src)),
         )
         .value();
         assert_eq!(fast.to_bits(), slow.to_bits());
@@ -97,7 +103,7 @@ fn one_way_and_base_rtt_bits_match() {
         let (src, dst) = (w.probes[i], w.anchors[i % w.anchors.len()]);
         for (a, b) in [(dst, src), (src, dst)] {
             let fast = rev_first.base_rtt_ms(&w, net.params(), a, b);
-            let slow = measure::base_rtt(&w, net.params(), a, b).value();
+            let slow = oracle::base_rtt(&w, net.params(), a, b).value();
             assert_eq!(
                 fast.to_bits(),
                 slow.to_bits(),
@@ -122,7 +128,7 @@ fn prepare_is_idempotent_and_keeps_ping_min_bits() {
             let src = w.probes[i];
             let dst = w.host(w.anchors[i % w.anchors.len()]).ip;
             let nonce = 0x9E9A ^ i as u64;
-            let slow = measure::ping_min(&w, warm.params(), warm.seed(), src, dst, 3, nonce);
+            let slow = oracle::ping_min(&w, warm.params(), warm.seed(), src, dst, 3, nonce);
             let want = bits(slow);
             assert_eq!(
                 bits(warm.ping_min(&w, src, dst, 3, nonce)),
@@ -150,8 +156,11 @@ fn cumulative_delays_match() {
         let dst = Endpoint::Host(w.anchors[i % w.anchors.len()]);
         let shape = cache.shape(&w, net.params(), src, dst);
         cache.cumulative_ms(&w, net.params(), src, &shape, &mut buf);
-        let slow =
-            delay::cumulative_delays(&w, net.params(), &synthesize(&w, net.params(), src, dst));
+        let slow = oracle::cumulative_delays(
+            &w,
+            net.params(),
+            &oracle::synthesize(&w, net.params(), src, dst),
+        );
         assert_eq!(buf.len(), slow.len());
         for (f, s) in buf.iter().zip(&slow) {
             assert_eq!(f.value().to_bits(), s.value().to_bits());
@@ -167,9 +176,9 @@ fn noise_model_matches_reference_packets() {
     for i in 0..w.probes.len().min(200) {
         let src = w.probes[i];
         let dst_host = w.host(w.anchors[i % w.anchors.len()]);
-        let base = measure::base_rtt(&w, net.params(), src, dst_host.id);
+        let base = oracle::base_rtt(&w, net.params(), src, dst_host.id);
         let nonce = 0xC0FFEE ^ i as u64;
-        let slow = measure::ping_min_with_base(
+        let slow = oracle::ping_min_with_base(
             &w,
             net.params(),
             net.seed(),
@@ -203,29 +212,25 @@ fn network_ping_and_traceroute_match_reference() {
         let dst = w.host(w.anchors[i % w.anchors.len()]).ip;
         let nonce = 0xBEEF ^ i as u64;
         assert_eq!(
-            net.ping(&w, src, dst, nonce),
-            measure::ping(&w, net.params(), net.seed(), src, dst, nonce)
-        );
-        assert_eq!(
             net.ping_min(&w, src, dst, 3, nonce),
-            measure::ping_min(&w, net.params(), net.seed(), src, dst, 3, nonce)
+            oracle::ping_min(&w, net.params(), net.seed(), src, dst, 3, nonce)
         );
         assert_eq!(
             net.traceroute(&w, src, dst, nonce),
-            measure::traceroute(&w, net.params(), net.seed(), src, dst, nonce)
+            oracle::traceroute(&w, net.params(), net.seed(), src, dst, nonce)
         );
     }
     // Traceroute corner cases: unrouted prefix, allocated-but-unresponsive.
     let unrouted = geo_model::ip::Ipv4::from_octets(250, 1, 2, 3);
     assert_eq!(
         net.traceroute(&w, w.probes[0], unrouted, 1),
-        measure::traceroute(&w, net.params(), net.seed(), w.probes[0], unrouted, 1)
+        oracle::traceroute(&w, net.params(), net.seed(), w.probes[0], unrouted, 1)
     );
     let ghost = w.host(w.anchors[0]).ip.prefix24().host(251);
     assert!(w.host_by_ip(ghost).is_none());
     assert_eq!(
         net.traceroute(&w, w.probes[0], ghost, splitmix64(7)),
-        measure::traceroute(
+        oracle::traceroute(
             &w,
             net.params(),
             net.seed(),
@@ -236,7 +241,7 @@ fn network_ping_and_traceroute_match_reference() {
     );
 }
 
-/// Campaign rows cell by cell against the reference `measure::ping_min`:
+/// Campaign rows cell by cell against the reference `oracle::ping_min`:
 /// attach-sorted source rows share one `RowScratch` (so consecutive rows
 /// reuse filled sequences), every target also runs as a row that skips
 /// its own column (the mesh diagonal), and a web server added after the
@@ -284,7 +289,7 @@ fn campaign_rows_match_ping_min() {
         let mut seen = Vec::with_capacity(targets.len());
         net.campaign_row(&w, &lane, &mut scratch, src, 3, nonce, skip, |c, out| {
             let dst = w.host(targets[c]).ip;
-            let slow = measure::ping_min(&w, net.params(), net.seed(), src, dst, 3, nonce(c));
+            let slow = oracle::ping_min(&w, net.params(), net.seed(), src, dst, 3, nonce(c));
             assert_eq!(
                 out.rtt().map(|m| m.value().to_bits()),
                 slow.rtt().map(|m| m.value().to_bits()),
@@ -301,7 +306,7 @@ fn campaign_rows_match_ping_min() {
 }
 
 /// `Network::campaign` cell by cell against the reference
-/// `measure::ping_min`. Anchors, some probes, hosts attached inside
+/// `oracle::ping_min`. Anchors, some probes, hosts attached inside
 /// transit-pool ASes and a web server added after the lanes were sized
 /// are both the sources and the targets, in two campaigns: a mesh that
 /// skips its diagonal, and one that maps target column `c` to column
@@ -354,7 +359,7 @@ fn campaign_matches_ping_min() {
     for (r, &src) in hosts.iter().enumerate() {
         for (c, &dst) in hosts.iter().enumerate() {
             let ip = w.host(dst).ip;
-            let slow = measure::ping_min(&w, net.params(), net.seed(), src, ip, 3, nonce(r, c));
+            let slow = oracle::ping_min(&w, net.params(), net.seed(), src, ip, 3, nonce(r, c));
             let slow = slow.rtt().map(|m| m.value().to_bits());
             if r == c {
                 assert!(mesh.row(r)[c].is_nan(), "mesh diagonal {r} was written");
@@ -367,4 +372,28 @@ fn campaign_matches_ping_min() {
         assert_eq!(written.count(), 0, "wide row {r} wrote an unmapped column");
     }
     assert!(n * n > 5000, "only {n} hosts compared");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The base-delay cache is transparent: for any endpoint pair, the
+    /// cached base RTT equals the reference's recomputation bit for bit,
+    /// in both directions (base RTT is symmetric) and on repeat lookups.
+    #[test]
+    fn cached_base_delay_matches_uncached(seed in 0u64..1000, a in 0usize..64, b in 0usize..64) {
+        let world = World::generate(WorldConfig::small(Seed(4242))).unwrap();
+        let net = Network::new(Seed(seed));
+        let (x, y) = (world.hosts[a].id, world.hosts[b].id);
+        let cached = net.base_rtt(&world, x, y);
+        let uncached = oracle::base_rtt(&world, net.params(), x, y);
+        prop_assert_eq!(cached.value().to_bits(), uncached.value().to_bits());
+        // A second lookup is a hit and returns the same bits; the reverse
+        // direction shares the unordered cache entry.
+        let again = net.base_rtt(&world, x, y);
+        let reverse = net.base_rtt(&world, y, x);
+        prop_assert_eq!(again.value().to_bits(), cached.value().to_bits());
+        prop_assert_eq!(reverse.value().to_bits(), cached.value().to_bits());
+        prop_assert!(net.cache_stats().hits >= 2);
+    }
 }

@@ -2,8 +2,8 @@
 
 use geo_model::rng::Seed;
 use geo_model::soi::SpeedOfInternet;
-use net_sim::route::{synthesize, Endpoint};
-use net_sim::{NetParams, Network, PingOutcome};
+use net_sim::route::Endpoint;
+use net_sim::{NetParams, Network, PingOutcome, RouteCache};
 use proptest::prelude::*;
 use world_sim::{World, WorldConfig};
 
@@ -29,7 +29,7 @@ proptest! {
         let (w, net) = world();
         let src = w.probes[probe_sel % w.probes.len()];
         let dst = w.host(w.anchors[anchor_sel % w.anchors.len()]).clone();
-        if let PingOutcome::Reply(rtt) = net.ping(w, src, dst.ip, nonce) {
+        if let PingOutcome::Reply(rtt) = net.ping_min(w, src, dst.ip, 1, nonce) {
             let dist = w.host(src).location.distance(&dst.location);
             prop_assert!(
                 !SpeedOfInternet::CBG.violates(dist, rtt),
@@ -48,7 +48,10 @@ proptest! {
         let (w, net) = world();
         let src = w.probes[probe_sel % w.probes.len()];
         let dst = w.host(w.anchors[anchor_sel % w.anchors.len()]).ip;
-        prop_assert_eq!(net.ping(w, src, dst, nonce), net.ping(w, src, dst, nonce));
+        prop_assert_eq!(
+            net.ping_min(w, src, dst, 1, nonce),
+            net.ping_min(w, src, dst, 1, nonce)
+        );
     }
 
     /// `ping_min` over n packets never exceeds any individual packet.
@@ -80,15 +83,17 @@ proptest! {
         if a == b {
             return Ok(());
         }
-        let path = synthesize(w, net.params(), Endpoint::Host(a), Endpoint::Host(b));
-        prop_assert!(path.len() <= 6, "path too long: {}", path.len());
-        prop_assert!(!path.waypoints.is_empty());
-        let first = path.waypoints[0];
-        prop_assert_eq!(first.asn, w.host(a).asn);
-        prop_assert_eq!(first.city, w.host(a).city);
-        let last = path.waypoints.last().expect("non-empty");
-        prop_assert_eq!(last.city, w.host(b).city);
-        for win in path.waypoints.windows(2) {
+        let cache = RouteCache::new(net.params());
+        let shape = cache.shape(w, net.params(), Endpoint::Host(a), Endpoint::Host(b));
+        let wps = shape.waypoints();
+        prop_assert!(wps.len() <= 6, "path too long: {}", wps.len());
+        prop_assert!(!wps.is_empty());
+        let first = wps[0];
+        prop_assert_eq!(first.0, w.host(a).asn);
+        prop_assert_eq!(first.1, w.host(a).city);
+        let last = wps.last().expect("non-empty");
+        prop_assert_eq!(last.1, w.host(b).city);
+        for win in wps.windows(2) {
             prop_assert_ne!(win[0], win[1], "consecutive duplicate waypoint");
         }
     }
