@@ -98,6 +98,59 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// A cheap hasher for integer-keyed tables: one splitmix64 round per
+/// written word, starting from a seed. SipHash, the std default, costs
+/// more than the lookups it guards in the memo tables and the serve cache.
+///
+/// It is its own [`BuildHasher`](std::hash::BuildHasher): every hasher it
+/// builds starts from the same seed. `MixHasher::default()` is seed 0,
+/// which keeps a table's layout a pure function of its keys. A table that
+/// takes keys from clients passes a secret seed to
+/// [`MixHasher::with_seed`], so no client can aim keys at one probe chain.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MixHasher {
+    state: u64,
+}
+
+impl MixHasher {
+    /// A hasher starting from `seed`.
+    pub fn with_seed(seed: u64) -> MixHasher {
+        MixHasher { state: seed }
+    }
+}
+
+impl std::hash::Hasher for MixHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.state
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.state = splitmix64(self.state ^ b as u64);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.state = splitmix64(self.state ^ v);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(v as u64);
+    }
+}
+
+impl std::hash::BuildHasher for MixHasher {
+    type Hasher = MixHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> MixHasher {
+        *self
+    }
+}
+
 /// FNV-1a hash of a byte string. `const` so that fixed domain labels
 /// (`b"jitter"`, `b"loss"`, …) hash at compile time on measurement hot
 /// paths instead of re-walking the literal per packet.
@@ -178,6 +231,17 @@ mod tests {
         let b = splitmix64(0x1234_5679);
         let flips = (a ^ b).count_ones();
         assert!((16..=48).contains(&flips), "weak avalanche: {flips} flips");
+    }
+
+    #[test]
+    fn mix_hasher_is_one_splitmix_round_from_its_seed() {
+        use std::hash::{BuildHasher, Hasher};
+        let mut h = MixHasher::default();
+        h.write_u64(77);
+        assert_eq!(h.finish(), splitmix64(77));
+        assert_eq!(MixHasher::with_seed(9).hash_one(77u64), splitmix64(9 ^ 77));
+        // A `u32` hashes as its widened `u64`.
+        assert_eq!(MixHasher::default().hash_one(5u32), splitmix64(5));
     }
 
     #[test]

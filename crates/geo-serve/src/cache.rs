@@ -22,16 +22,42 @@
 //! slots, giving recently-referenced entries one more revolution before
 //! replacing the first un-referenced slot it finds. Cold prefixes
 //! therefore rotate out as traffic shifts instead of the cache freezing
-//! on whatever arrived first. Evictions are counted alongside hits and
-//! misses (see [`HotCache::counters`]) and surface in `BENCH_serve.json`.
+//! on whatever arrived first.
+//!
+//! Hashing: a shard finds a key's slot through a map hashed by
+//! [`MixHasher`], one splitmix64 round over the key, instead of the std
+//! SipHash, which cost more than the rest of a hit. Keys come from
+//! clients, so each cache seeds its hasher with a secret drawn from
+//! `RandomState`, the same per-process random keys SipHash would use.
+//! A client that does not know the seed cannot tell which keys share a
+//! probe chain, so it cannot flood one; and a shard never holds more
+//! than its capacity anyway. The map keys a slot by the 32 bits that
+//! name it within its shard and stores its number as a `u32`, so a
+//! bucket is 8 bytes. The hasher only places keys in the map: which slot
+//! a key owns, and so every hit, miss and eviction, depends on the call
+//! sequence alone.
+//!
+//! Counters: each shard counts its own hits, misses and evictions as
+//! plain fields under the lock it already holds, so a call touches no
+//! shared atomic; [`HotCache::counters`] sums the shards. The server
+//! reports the sums through `QueryServer::cache_stats`, and they surface
+//! in `BENCH_serve.json`.
 
 use crate::proto::LocateRecord;
+use geo_model::rng::MixHasher;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::hash::BuildHasher;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Number of independent shards (power of two; low key bits select).
 pub const SHARDS: usize = 16;
+
+/// The prefix bits that pick a key's shard.
+const SHARD_BITS: u32 = SHARDS.trailing_zeros();
+
+// A shard key keeps the kind's two bits above the prefix's remaining bits.
+const _: () = assert!(SHARD_BITS >= 2);
 
 /// Default per-shard capacity (entries).
 const SHARD_CAP: usize = 4096;
@@ -96,17 +122,19 @@ impl CacheCounters {
 /// One resident entry plus its second-chance bit.
 #[derive(Debug)]
 struct Slot {
-    key: u64,
+    key: u32,
     value: CacheValue,
     referenced: bool,
 }
 
-/// A shard: slot arena, key index, and the clock hand position.
-#[derive(Debug, Default)]
+/// A shard: slot arena, key index, the clock hand position, and the
+/// shard's own traffic counters.
+#[derive(Debug)]
 struct Shard {
     slots: Vec<Slot>,
-    index: HashMap<u64, usize>,
+    index: HashMap<u32, u32, MixHasher>,
     hand: usize,
+    counters: CacheCounters,
 }
 
 /// The sharded cache. Cheap to clone a handle via `Arc` at the server
@@ -115,9 +143,6 @@ struct Shard {
 pub struct HotCache {
     shards: Vec<Mutex<Shard>>,
     shard_cap: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
 }
 
 impl Default for HotCache {
@@ -134,23 +159,35 @@ impl HotCache {
 
     /// A cache bounding each shard at `shard_cap` entries.
     pub fn with_shard_capacity(shard_cap: usize) -> HotCache {
+        let hasher = MixHasher::with_seed(RandomState::new().hash_one(SHARDS));
         HotCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_cap: shard_cap.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            shards: (0..SHARDS)
+                .map(|_| {
+                    Mutex::new(Shard {
+                        slots: Vec::new(),
+                        index: HashMap::with_hasher(hasher),
+                        hand: 0,
+                        counters: CacheCounters::default(),
+                    })
+                })
+                .collect(),
+            // Slot numbers are stored as `u32`.
+            shard_cap: shard_cap.clamp(1, u32::MAX as usize),
         }
     }
 
-    fn key(kind: CacheKind, prefix: u32) -> u64 {
-        (kind as u64) << 32 | u64::from(prefix)
+    /// `(kind, prefix)` as its shard stores it: the shard already fixes
+    /// the prefix's low [`SHARD_BITS`], so the kind above the prefix's
+    /// other bits names the key in 32 bits. Half the width of a
+    /// `(kind, prefix)` pair keeps index buckets at 8 bytes.
+    fn key(kind: CacheKind, prefix: u32) -> u32 {
+        (kind as u32) << (u32::BITS - SHARD_BITS) | prefix >> SHARD_BITS
     }
 
     // geo-lint: allow(R1, reason = "index is masked to SHARDS-1 and `shards` is built with exactly SHARDS entries")
-    fn shard(&self, key: u64) -> &Mutex<Shard> {
+    fn shard(&self, prefix: u32) -> &Mutex<Shard> {
         // Prefixes are dense in their low bits, so low bits shard well.
-        &self.shards[(key as usize) & (SHARDS - 1)]
+        &self.shards[(prefix as usize) & (SHARDS - 1)]
     }
 
     /// Looks up a cached answer; a hit marks the slot referenced, buying
@@ -158,18 +195,18 @@ impl HotCache {
     pub fn get(&self, kind: CacheKind, prefix: u32) -> Option<CacheValue> {
         let key = Self::key(kind, prefix);
         let mut shard = self
-            .shard(key)
+            .shard(prefix)
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         let found = shard.index.get(&key).copied().map(|i| {
-            shard.slots[i].referenced = true;
-            shard.slots[i].value.clone()
+            let slot = &mut shard.slots[i as usize];
+            slot.referenced = true;
+            slot.value.clone()
         });
-        drop(shard);
         if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            shard.counters.hits += 1;
         } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            shard.counters.misses += 1;
         }
         found
     }
@@ -183,16 +220,17 @@ impl HotCache {
     pub fn put(&self, kind: CacheKind, prefix: u32, value: CacheValue) {
         let key = Self::key(kind, prefix);
         let mut shard = self
-            .shard(key)
+            .shard(prefix)
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         if let Some(&i) = shard.index.get(&key) {
-            shard.slots[i].value = value;
-            shard.slots[i].referenced = true;
+            let slot = &mut shard.slots[i as usize];
+            slot.value = value;
+            slot.referenced = true;
             return;
         }
         if shard.slots.len() < self.shard_cap {
-            let i = shard.slots.len();
+            let i = shard.slots.len() as u32;
             shard.slots.push(Slot {
                 key,
                 value,
@@ -217,19 +255,25 @@ impl HotCache {
                 value,
                 referenced: false,
             };
-            shard.index.insert(key, i);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+            shard.index.insert(key, i as u32);
+            shard.counters.evictions += 1;
             return;
         }
     }
 
-    /// Hit/miss/eviction counters since construction.
+    /// Hit/miss/eviction counters since construction: the sum of every
+    /// shard's, each read under its lock.
     pub fn counters(&self) -> CacheCounters {
-        CacheCounters {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+        let mut total = CacheCounters::default();
+        for shard in &self.shards {
+            total.absorb(
+                shard
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .counters,
+            );
         }
+        total
     }
 }
 
@@ -317,5 +361,92 @@ mod tests {
         assert!(c.get(CacheKind::BinLocate, b).is_none());
         assert!(c.get(CacheKind::BinLocate, d).is_some());
         assert_eq!(c.counters().evictions, 1);
+    }
+
+    /// One shard of the clock policy kept as a reference: its slots are
+    /// searched linearly, so it shares no map, no hasher and no key
+    /// packing with the cache. Each slot is `(kind, prefix, value id,
+    /// referenced)`.
+    #[derive(Default)]
+    struct ModelShard {
+        slots: Vec<(u8, u32, u64, bool)>,
+        hand: usize,
+    }
+
+    proptest::proptest! {
+        /// Any call sequence gets the same answers and the same hits,
+        /// misses and evictions from two caches, each with its own hasher
+        /// seed, as from the reference clock policy. Prefixes differ in
+        /// their top bits too, which the shard key must keep apart.
+        #[test]
+        fn answers_and_counters_depend_on_the_call_sequence_alone(
+            cap in 1usize..5,
+            calls in proptest::collection::vec(
+                (proptest::prelude::any::<bool>(), 0u8..4, 0u32..64, 0u32..4),
+                1..400,
+            ),
+        ) {
+            let caches = [HotCache::with_shard_capacity(cap), HotCache::with_shard_capacity(cap)];
+            let mut model: Vec<ModelShard> = (0..SHARDS).map(|_| ModelShard::default()).collect();
+            let mut want = CacheCounters::default();
+            for (id, &(put, k, low, high)) in calls.iter().enumerate() {
+                let kind = [
+                    CacheKind::BinLocate,
+                    CacheKind::BinNearest,
+                    CacheKind::LineLocate,
+                    CacheKind::LineNearest,
+                ][usize::from(k)];
+                let prefix = high << 30 | low;
+                let shard = &mut model[prefix as usize % SHARDS];
+                let id = id as u64;
+                if put {
+                    for c in &caches {
+                        let value = LocateRecord { lat_bits: id, ..rec(prefix) };
+                        c.put(kind, prefix, CacheValue::Record(value));
+                    }
+                    if let Some(slot) = shard.slots.iter_mut().find(|s| (s.0, s.1) == (k, prefix)) {
+                        *slot = (k, prefix, id, true);
+                    } else if shard.slots.len() < cap {
+                        shard.slots.push((k, prefix, id, false));
+                    } else {
+                        loop {
+                            let i = shard.hand;
+                            shard.hand = (i + 1) % shard.slots.len();
+                            if shard.slots[i].3 {
+                                shard.slots[i].3 = false;
+                                continue;
+                            }
+                            shard.slots[i] = (k, prefix, id, false);
+                            want.evictions += 1;
+                            break;
+                        }
+                    }
+                } else {
+                    let expected = shard
+                        .slots
+                        .iter_mut()
+                        .find(|s| (s.0, s.1) == (k, prefix))
+                        .map(|s| {
+                            s.3 = true;
+                            s.2
+                        });
+                    if expected.is_some() {
+                        want.hits += 1;
+                    } else {
+                        want.misses += 1;
+                    }
+                    for c in &caches {
+                        let got = match c.get(kind, prefix) {
+                            Some(CacheValue::Record(r)) => Some(r.lat_bits),
+                            _ => None,
+                        };
+                        proptest::prop_assert_eq!(got, expected);
+                    }
+                }
+            }
+            for c in &caches {
+                proptest::prop_assert_eq!(c.counters(), want);
+            }
+        }
     }
 }

@@ -413,6 +413,16 @@ pub fn decode(bytes: &[u8]) -> Result<(Header, Vec<DatasetEntry>), FormatError> 
     Ok((header, entries))
 }
 
+/// The prefix column of snapshot bytes that [`decode`] accepted with `n`
+/// entries: `n` little-endian `u32`s, strictly ascending.
+pub(crate) fn prefix_column(bytes: &[u8], n: usize) -> &[[u8; 4]] {
+    bytes
+        .get(HEADER_LEN..HEADER_LEN + 4 * n)
+        .unwrap_or_default()
+        .as_chunks()
+        .0
+}
+
 /// Writes the dataset to `path`, returning the header it stored. The
 /// target is replaced atomically (see the module docs).
 pub fn save(
@@ -455,10 +465,9 @@ fn replace_file(path: &Path, bytes: &[u8]) -> io::Result<()> {
     written
 }
 
-/// Reads and validates a snapshot from `path`.
-pub fn load(path: impl AsRef<Path>) -> Result<(Header, Vec<DatasetEntry>), FormatError> {
-    let bytes = std::fs::read(path.as_ref()).map_err(|e| FormatError::Io(e.to_string()))?;
-    decode(&bytes)
+/// Reads a snapshot file's bytes, unvalidated: [`decode`] validates them.
+pub(crate) fn read(path: impl AsRef<Path>) -> Result<Vec<u8>, FormatError> {
+    std::fs::read(path.as_ref()).map_err(|e| FormatError::Io(e.to_string()))
 }
 
 #[cfg(test)]
@@ -641,7 +650,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sample.igds");
         let header = save(&path, &sample(), 77, 3).unwrap();
-        let (loaded_header, entries) = load(&path).unwrap();
+        let (loaded_header, entries) = decode(&read(&path).unwrap()).unwrap();
         assert_eq!(header, loaded_header);
         assert_eq!(entries.len(), 6);
         std::fs::remove_file(&path).unwrap();

@@ -8,9 +8,9 @@
 //!   checksummed, column-oriented, byte-deterministic for a given world
 //!   seed;
 //! - [`store`] — [`DatasetStore`], an indexed read-only view answering
-//!   exact-`/24` and nearest-covering-prefix lookups by binary search,
-//!   with batch lookups fanned out over the workspace's deterministic
-//!   thread pool;
+//!   exact-`/24` and nearest-covering-prefix lookups through a bucket
+//!   index over its prefix span, with batch lookups fanned out over the
+//!   workspace's deterministic thread pool;
 //! - [`server`] — [`QueryServer`], a readiness-driven TCP server: a
 //!   fixed worker pool (sized from `IPGEO_THREADS`) of event loops over
 //!   nonblocking sockets, each connection speaking either the one-line

@@ -260,11 +260,13 @@ impl ServeStats {
         }
     }
 
-    fn count(&self, hit: bool) {
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+    /// Adds answered addresses: `hits` found an entry, `misses` did not.
+    fn count(&self, hits: u64, misses: u64) {
+        if hits > 0 {
+            self.hits.fetch_add(hits, Ordering::Relaxed);
+        }
+        if misses > 0 {
+            self.misses.fetch_add(misses, Ordering::Relaxed);
         }
     }
 
@@ -327,11 +329,11 @@ impl Serving {
             Some("LOCATE") => match words.next().map(str::parse) {
                 Some(Ok(ip)) => match g.store.lookup(ip) {
                     Some(entry) => {
-                        self.stats.hits.fetch_add(1, Ordering::Relaxed);
+                        self.stats.count(1, 0);
                         (format!("OK {entry}"), false)
                     }
                     None => {
-                        self.stats.misses.fetch_add(1, Ordering::Relaxed);
+                        self.stats.count(0, 1);
                         (format!("MISS {ip}"), false)
                     }
                 },
@@ -341,11 +343,11 @@ impl Serving {
             Some("NEAREST") => match words.next().map(str::parse) {
                 Some(Ok(ip)) => match g.store.lookup_nearest(ip) {
                     Some((entry, dist)) => {
-                        self.stats.hits.fetch_add(1, Ordering::Relaxed);
+                        self.stats.count(1, 0);
                         (format!("OK {entry} distance={dist}"), false)
                     }
                     None => {
-                        self.stats.misses.fetch_add(1, Ordering::Relaxed);
+                        self.stats.count(0, 1);
                         (format!("MISS {ip}"), false)
                     }
                 },
@@ -467,7 +469,7 @@ impl Serving {
         if let Some((kind, prefix)) = cached {
             if let Some(CacheValue::Line(reply)) = g.cache.get(kind, prefix) {
                 // Only `OK` lines are admitted, so a cache hit is a store hit.
-                self.stats.count(true);
+                self.stats.count(1, 0);
                 out.extend_from_slice(reply.as_bytes());
                 out.push(b'\n');
                 return false;
@@ -499,13 +501,8 @@ impl Serving {
 
     /// One binary-protocol answer record, through the cache. Both hit
     /// and miss records are pure functions of the queried `/24`, so
-    /// both are cacheable.
-    fn locate_record(
-        &self,
-        g: &Generation,
-        ip: geo_model::ip::Ipv4,
-        nearest: bool,
-    ) -> LocateRecord {
+    /// both are cacheable. The caller counts the answer.
+    fn locate_record(g: &Generation, ip: geo_model::ip::Ipv4, nearest: bool) -> LocateRecord {
         let kind = if nearest {
             CacheKind::BinNearest
         } else {
@@ -513,7 +510,6 @@ impl Serving {
         };
         let prefix = ip.prefix24().0;
         if let Some(CacheValue::Record(rec)) = g.cache.get(kind, prefix) {
-            self.stats.count(rec.hit);
             return rec;
         }
         let rec = if nearest {
@@ -527,13 +523,13 @@ impl Serving {
                 None => LocateRecord::miss(ip),
             }
         };
-        self.stats.count(rec.hit);
         g.cache.put(kind, prefix, CacheValue::Record(rec));
         rec
     }
 
     /// Answers one decoded binary request straight into the output
-    /// buffer, records streaming in query order.
+    /// buffer, records streaming in query order. A frame's answers are
+    /// counted into `ServeStats` once, after its last record.
     fn respond_frame_into(&self, g: &Generation, req: &Request, out: &mut Vec<u8>) {
         match req {
             Request::Locate(ips) | Request::Nearest(ips) => {
@@ -544,11 +540,14 @@ impl Serving {
                     Opcode::Locate
                 };
                 let w = ResponseWriter::begin(out, opcode);
+                let mut hits = 0;
                 for &ip in ips {
-                    let rec = self.locate_record(g, ip, nearest);
+                    let rec = Self::locate_record(g, ip, nearest);
+                    hits += u64::from(rec.hit);
                     w.push_record(out, &rec);
                 }
                 w.finish(out);
+                self.stats.count(hits, ips.len() as u64 - hits);
             }
             Request::Stats => {
                 let s = self.stats.snapshot();

@@ -1,11 +1,14 @@
 //! An indexed, read-only view over a loaded `.igds` snapshot.
 //!
 //! The store keeps the entries exactly as the format guarantees them —
-//! sorted by prefix, unique — so every lookup is a binary search over the
-//! prefix column ("Lost in the Prefix": the unit of geolocation truth is
-//! the routed prefix, not the individual address). Batch lookups fan out
-//! over [`geo_model::runtime::par_map_indexed`], inheriting the
-//! workspace-wide `IPGEO_THREADS` knob and its determinism contract.
+//! sorted by prefix, unique ("Lost in the Prefix": the unit of
+//! geolocation truth is the routed prefix, not the individual address).
+//! A bucket index over the store's own prefix span, built at open,
+//! narrows every lookup to one bucket of a few entries before a binary
+//! search; answers are the ones a binary search over all entries gives.
+//! Batch lookups fan out over [`geo_model::runtime::par_map_indexed`],
+//! inheriting the workspace-wide `IPGEO_THREADS` knob and its
+//! determinism contract.
 
 use crate::cache::{CacheCounters, HotCache};
 use crate::format::{self, FormatError, Header};
@@ -15,24 +18,88 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
+/// Most buckets a [`PrefixIndex`] lays over a store (2^16: 256 KiB of
+/// offsets).
+const MAX_BUCKETS: usize = 1 << 16;
+
+/// Equal-width buckets over the span `first..=last` of a store's
+/// prefixes: prefix `p` falls in bucket `(p - first) >> shift`, and the
+/// entries of bucket `b` are `starts[b]..starts[b + 1]`.
+///
+/// There are `n.next_power_of_two()` buckets (clamped to
+/// `1..=`[`MAX_BUCKETS`]), and `shift` is the smallest that maps `last`
+/// into the last of them. Laying the buckets over the span rather than
+/// over the top bits of the 24-bit space keeps them small when the
+/// prefixes cluster: at seed 42, publish's 5,106 prefixes span only
+/// `0x10000..=0x113f1`, one per bucket, where top-16-bit buckets would
+/// hold up to 256 each.
+#[derive(Debug, Clone)]
+struct PrefixIndex {
+    first: u32,
+    shift: u32,
+    starts: Vec<u32>,
+}
+
+impl PrefixIndex {
+    /// Builds the index from the prefix column in ascending order (as
+    /// [`format::decode`] has validated it), read from the raw payload, 4
+    /// bytes a prefix, rather than from the 80-byte entries.
+    fn build(column: &[[u8; 4]]) -> PrefixIndex {
+        let buckets = column.len().next_power_of_two().clamp(1, MAX_BUCKETS);
+        let (first, last) = match (column.first(), column.last()) {
+            (Some(&first), Some(&last)) => (u32::from_le_bytes(first), u32::from_le_bytes(last)),
+            _ => (0, 0),
+        };
+        let span_bits = u32::BITS - (last - first).leading_zeros();
+        let shift = span_bits.saturating_sub(buckets.trailing_zeros());
+        // Bucket `b` ends where bucket `b + 1` starts: after its last
+        // entry, which a pass in prefix order stamps last. The pass only
+        // stores, so no step waits on the one before it (a per-bucket
+        // count would). An empty bucket gets no stamp and ends where the
+        // bucket before it does, which a running maximum fills in.
+        let mut starts = vec![0u32; buckets + 1];
+        for (i, &raw) in column.iter().enumerate() {
+            let b = ((u32::from_le_bytes(raw) - first) >> shift) as usize;
+            if let Some(end) = starts.get_mut(b + 1) {
+                *end = i as u32 + 1;
+            }
+        }
+        let mut end = 0;
+        for start in &mut starts {
+            end = end.max(*start);
+            *start = end;
+        }
+        PrefixIndex {
+            first,
+            shift,
+            starts,
+        }
+    }
+}
+
 /// A loaded snapshot with its header, ready to answer queries.
 #[derive(Debug, Clone)]
 pub struct DatasetStore {
     header: Header,
     entries: Vec<DatasetEntry>,
+    index: PrefixIndex,
 }
 
 impl DatasetStore {
     /// Parses a snapshot from raw `.igds` bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<DatasetStore, FormatError> {
         let (header, entries) = format::decode(bytes)?;
-        Ok(DatasetStore { header, entries })
+        let index = PrefixIndex::build(format::prefix_column(bytes, entries.len()));
+        Ok(DatasetStore {
+            header,
+            entries,
+            index,
+        })
     }
 
     /// Loads and validates a snapshot file.
     pub fn open(path: impl AsRef<Path>) -> Result<DatasetStore, FormatError> {
-        let (header, entries) = format::load(path)?;
-        Ok(DatasetStore { header, entries })
+        DatasetStore::from_bytes(&format::read(path)?)
     }
 
     /// Builds a store directly from entries (tests, benches, diffing a
@@ -64,12 +131,34 @@ impl DatasetStore {
         &self.entries
     }
 
-    /// Exact-prefix lookup by binary search.
+    /// Where `prefix` sits among the entries, as
+    /// `entries.binary_search_by_key(&prefix, |e| e.prefix)` reports it
+    /// (`Ok` at its entry, or `Err` at its insertion point), found by a
+    /// binary search of `prefix`'s bucket alone: every entry of an earlier
+    /// bucket is below `prefix` and every entry of a later one above it.
+    fn position(&self, prefix: Prefix24) -> Result<usize, usize> {
+        let n = self.entries.len();
+        let Some(offset) = prefix.0.checked_sub(self.index.first) else {
+            return Err(0);
+        };
+        let b = (offset >> self.index.shift) as usize;
+        let (lo, hi) = match (self.index.starts.get(b), self.index.starts.get(b + 1)) {
+            (Some(&lo), Some(&hi)) => (lo as usize, hi as usize),
+            // Past the last bucket: above every entry.
+            _ => return Err(n),
+        };
+        match self.entries.get(lo..hi) {
+            Some(bucket) => bucket
+                .binary_search_by_key(&prefix, |e| e.prefix)
+                .map(|i| lo + i)
+                .map_err(|i| lo + i),
+            None => Err(lo),
+        }
+    }
+
+    /// Exact-prefix lookup: a binary search of the prefix's bucket.
     pub fn get(&self, prefix: Prefix24) -> Option<&DatasetEntry> {
-        self.entries
-            .binary_search_by_key(&prefix, |e| e.prefix)
-            .ok()
-            .and_then(|i| self.entries.get(i))
+        self.position(prefix).ok().and_then(|i| self.entries.get(i))
     }
 
     /// Exact lookup of the `/24` covering `ip`.
@@ -83,7 +172,7 @@ impl DatasetStore {
     /// an empty store.
     pub fn lookup_nearest(&self, ip: Ipv4) -> Option<(&DatasetEntry, u32)> {
         let target = ip.prefix24();
-        let idx = match self.entries.binary_search_by_key(&target, |e| e.prefix) {
+        let idx = match self.position(target) {
             Ok(i) => return self.entries.get(i).map(|e| (e, 0)),
             Err(i) => i,
         };
@@ -108,8 +197,8 @@ impl DatasetStore {
 
     /// Batch exact lookup. Output order matches `ips`.
     ///
-    /// Small batches run serially: a single lookup is a ~5-comparison
-    /// binary search, so the fan-out only pays for itself once the batch
+    /// Small batches run serially: a single lookup is a binary search of
+    /// one small bucket, so the fan-out only pays for itself once the batch
     /// amortizes thread spawn/join across tens of thousands of lookups
     /// (the pre-fix snapshot recorded `speedup: 0.54` — the parallel
     /// path *losing* — on a 7 680-address sweep). Large batches fan out
@@ -128,7 +217,7 @@ impl DatasetStore {
 }
 
 /// Below this batch size `lookup_batch` stays serial: per-lookup work is
-/// O(log n) over an in-memory column, so thread spawn/join dominates
+/// a search of one bucket in memory, so thread spawn/join dominates
 /// until the batch reaches tens of thousands of addresses.
 pub const PAR_BATCH_MIN: usize = 16 * 1024;
 
@@ -249,6 +338,40 @@ mod tests {
     fn store() -> DatasetStore {
         let entries: Vec<DatasetEntry> = [10u32, 20, 30, 300].map(entry).to_vec();
         DatasetStore::from_entries(&entries, 1, 1)
+    }
+
+    /// The index's shape for `prefixes`: `(buckets, shift)`, after
+    /// checking that every entry lies in the bucket its prefix maps to.
+    fn index_shape(prefixes: &[u32]) -> (usize, u32) {
+        let s = DatasetStore::from_entries(
+            &prefixes.iter().map(|&p| entry(p)).collect::<Vec<_>>(),
+            1,
+            1,
+        );
+        let ix = &s.index;
+        let buckets = ix.starts.len() - 1;
+        assert_eq!((ix.starts[0], ix.starts[buckets]), (0, s.len() as u32));
+        for (i, e) in s.entries().iter().enumerate() {
+            let b = ((e.prefix.0 - ix.first) >> ix.shift) as usize;
+            assert!((ix.starts[b] as usize..ix.starts[b + 1] as usize).contains(&i));
+        }
+        (buckets, ix.shift)
+    }
+
+    #[test]
+    fn index_buckets_span_the_store_not_the_address_space() {
+        // Clustered like publish's prefixes at seed 42: 5,106 in
+        // 0x10000..=0x113f1 get 8,192 buckets of one prefix each.
+        let clustered: Vec<u32> = (0..5106).map(|i| 0x10000 + i).collect();
+        assert_eq!(index_shape(&clustered), (8192, 0));
+        // Spread over the whole space: 2^16 buckets of 2^8 prefixes.
+        let spread: Vec<u32> = (0..1u32 << 17).map(|i| i << 7 | 5).collect();
+        assert_eq!(index_shape(&spread), (1 << 16, 8));
+        // `shift` is the smallest that keeps the last prefix in range.
+        assert_eq!(index_shape(&[3, 3 + 15]), (2, 3));
+        assert_eq!(index_shape(&[3, 3 + 16]), (2, 4));
+        assert_eq!(index_shape(&[7]), (1, 0));
+        assert_eq!(index_shape(&[]), (1, 0));
     }
 
     #[test]

@@ -52,10 +52,9 @@ use crate::route::{self, Endpoint, Waypoint};
 use geo_model::distr::{LogNormal, Sample};
 use geo_model::ip::Ipv4;
 use geo_model::point::PointTrig;
-use geo_model::rng::{fnv1a, splitmix64, KeyRng, Seed};
+use geo_model::rng::{fnv1a, splitmix64, KeyRng, MixHasher, Seed};
 use geo_model::units::Ms;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{OnceLock, RwLock};
 use world_sim::host::LastMile;
@@ -72,37 +71,10 @@ const H_HOP_RESPONDS: u64 = fnv1a(b"hop-responds");
 const H_CABLE: u64 = fnv1a(b"cable");
 pub(crate) const H_TRACEROUTE: u64 = fnv1a(b"traceroute");
 
-/// A cheap deterministic hasher for the memo tables: one splitmix64 round
-/// per written word. The default SipHash costs more than the memoized
-/// computation it guards; statistical quality here only affects bucket
-/// spread, never results.
-#[derive(Default)]
-pub struct MixHasher(u64);
-
-impl Hasher for MixHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = splitmix64(self.0 ^ b as u64);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.0 = splitmix64(self.0 ^ v);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(v as u64);
-    }
-}
-
-type MixMap<K, V> = HashMap<K, V, BuildHasherDefault<MixHasher>>;
+/// The memo tables hash with [`MixHasher`] at seed 0: the default SipHash
+/// costs more than the memoized computation it guards, and the hasher only
+/// affects bucket spread, never results.
+type MixMap<K, V> = HashMap<K, V, MixHasher>;
 
 /// A path's waypoint list on the stack: `oracle::synthesize` never emits
 /// more than four waypoints, so the shape of a route needs no allocation.

@@ -135,7 +135,7 @@ mod tests {
                     assert_ne!(win[0], win[1]);
                 }
                 let len = shape.waypoints().len();
-                assert!(len <= 6, "path too long: {len}");
+                assert!(len <= 4, "path too long: {len}");
             }
         }
     }

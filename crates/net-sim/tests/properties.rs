@@ -70,8 +70,8 @@ proptest! {
         }
     }
 
-    /// Paths are short (the synthesizer never builds more than 6 hops)
-    /// and begin at the source's attachment PoP.
+    /// Paths are short (the synthesizer never builds more than 4
+    /// waypoints) and begin at the source's attachment PoP.
     #[test]
     fn paths_are_short_and_anchored(
         a_sel in 0usize..200,
@@ -86,7 +86,7 @@ proptest! {
         let cache = RouteCache::new(net.params());
         let shape = cache.shape(w, net.params(), Endpoint::Host(a), Endpoint::Host(b));
         let wps = shape.waypoints();
-        prop_assert!(wps.len() <= 6, "path too long: {}", wps.len());
+        prop_assert!(wps.len() <= 4, "path too long: {}", wps.len());
         prop_assert!(!wps.is_empty());
         let first = wps[0];
         prop_assert_eq!(first.0, w.host(a).asn);
